@@ -1,12 +1,14 @@
-"""Exact Schur-style numbers by depth-first search with propagation.
+"""Exact Schur-style numbers by depth-first search with bitset propagation.
 
 `forbidden_triples` enumerates the monochromatic patterns to avoid:
 x + y = z with x <= y, optionally strengthened by x | y.  The solver
-assigns colors to 1, 2, 3, ... in natural order.  For every future
-integer z it keeps a bitmask of colors already excluded because some
-pair (x, y) with x + y = z turned monochromatic; assigning a color then
-costs only the triples whose middle element is the new integer, and a
-future integer with every color banned cuts the branch immediately.
+assigns colors to 1, 2, 3, ... in natural order, keeping per color c two
+bitsets over 1..n: members[c], and banned[c], the integers c would
+complete a forbidden triple on.  Assigning v to c ORs
+`(members[c] & pairs[v]) << v` into banned[c]; the branch dies once all
+banned sets share a bit.  Undo restores banned[c] and clears bit v of
+members[c].  Seeding a prefix, enumerating prefixes and the search all
+run this one step (bitwise backtracking, Knuth TAOCP 7.2.2).
 
 Symmetry breaking: integer 1 always takes color 0, and a new color index
 may only be used once all smaller indices appear.  The first witness
@@ -19,17 +21,20 @@ the tree for W + 1.  Node and wall-clock budgets turn into a lower_bound
 status, never an error.
 
 Optional multi-process search splits the tree at a fixed prefix depth;
-every subtree must be exhausted for a refutation, so exact results are
-independent of scheduling.
+every subtree must be exhausted for a refutation, so exact results and
+node counts are independent of scheduling.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial, reduce
+from operator import and_
 from typing import NamedTuple, Sequence
 
 __all__ = [
@@ -97,144 +102,125 @@ def validate_coloring(
     return hits
 
 
-def _pair_table(n: int, restricted: bool, allow_equal: bool) -> list[tuple[tuple[int, int], ...]]:
-    """table[v] lists (x, z) with x <= v, x + v = z <= n, filtered by the rule;
-    coloring v monochromatically with such an x bans that color on z."""
-    table: list[tuple[tuple[int, int], ...]] = [()] * (n + 1)
-    for v in range(1, n + 1):
-        pairs = []
-        for x in range(1, min(v, n - v) + 1):
-            if restricted and v % x:
-                continue
-            if not allow_equal and x == v:
-                continue
-            pairs.append((x, x + v))
-        table[v] = tuple(pairs)
-    return table
-
-
-class _Budget:
-    __slots__ = ("max_nodes", "deadline")
-
-    def __init__(self, max_nodes: int | None, max_seconds: float | None):
-        self.max_nodes = max_nodes
-        self.deadline = None if max_seconds is None else time.perf_counter() + max_seconds
-
-    def check(self, nodes: int) -> None:
-        if self.max_nodes is not None and nodes > self.max_nodes:
-            raise BudgetExhausted(nodes)
-        if self.deadline is not None and nodes % 2048 == 0 and time.perf_counter() > self.deadline:
-            raise BudgetExhausted(nodes)
-
-
 class _Searcher:
-    """One depth-first search over colorings of {1..n} with l colors."""
+    """One depth-first search over colorings of {1..n} with l colors.
 
-    def __init__(self, l: int, n: int, restricted: bool, allow_equal: bool, budget: _Budget):
+    `_extend` holds the only assign/undo step.  It searches to `depth`,
+    stopping at the first leaf, or recording leaves while `prefixes` is a
+    list.  Budgets are polled only at node count `poll_at`: the node limit
+    raises at max_nodes + 1, the deadline is read every 2048 nodes."""
+
+    __slots__ = ("l", "n", "pairs", "members", "banned", "all_banned", "choices", "nodes",
+                 "depth", "prefixes", "max_nodes", "deadline", "poll_at")
+
+    def __init__(self, l: int, n: int, restricted: bool, allow_equal: bool,
+                 max_nodes: int | None = None, max_seconds: float | None = None):
         self.l = l
         self.n = n
-        self.table = _pair_table(n, restricted, allow_equal)
-        self.budget = budget
-        self.full_mask = (1 << l) - 1
-        self.color = [-1] * (n + 1)
-        self.banned = [0] * (n + 1)
+        # pairs[v]: bit x for each x <= min(v, n - v) with (x, v, x + v) forbidden.
+        self.pairs = [
+            sum(1 << x for x in range(1, min(v, n - v) + 1)
+                if (not restricted or v % x == 0) and (allow_equal or x != v))
+            for v in range(n + 1)
+        ]
+        self.members = [0] * l
+        self.banned = [0] * l
+        self.all_banned = partial(reduce, and_, self.banned)  # integers left no color
+        # choices[max_used + 1]: colors open to the next integer.
+        self.choices = [range(min(k, l - 1) + 1) for k in range(l + 1)]
         self.nodes = 0
+        self.depth = n
+        self.prefixes = None
+        self.max_nodes = max_nodes
+        self.deadline = None if max_seconds is None else time.perf_counter() + max_seconds
+        self.poll_at = 1
+
+    def _poll(self, nodes: int) -> None:
+        at = sys.maxsize
+        if self.max_nodes is not None:
+            if nodes > self.max_nodes:
+                raise BudgetExhausted(nodes)
+            at = self.max_nodes + 1
+        if self.deadline is not None:
+            if nodes % 2048 == 0 and time.perf_counter() > self.deadline:
+                raise BudgetExhausted(nodes)
+            at = min(at, (nodes // 2048 + 1) * 2048)
+        self.poll_at = at
+
+    def coloring(self) -> list[int]:
+        """Colors of the integers assigned so far, from 1 upwards."""
+        colors = [0] * max(self.members).bit_length()
+        for c, m in enumerate(self.members):
+            while m:
+                low = m & -m
+                colors[low.bit_length() - 1] = c
+                m ^= low
+        return colors[1:]
 
     def seed_prefix(self, prefix: Sequence[int]) -> bool:
-        """Install a partial coloring of 1..len(prefix); False on conflict."""
-        for v, c in enumerate(prefix, start=1):
-            if self.banned[v] >> c & 1:
-                return False
-            self.color[v] = c
-            for x, z in self.table[v]:
-                if self.color[x] == c:
-                    self.banned[z] |= 1 << c
-                    if self.banned[z] == self.full_mask:
-                        return False
-        return True
-
-    def run(self, start_v: int, max_used: int) -> list[int] | None:
-        if self._extend(start_v, max_used):
-            return self.color[1 : self.n + 1]
-        return None
-
-    def _extend(self, v: int, max_used: int) -> bool:
-        if v > self.n:
-            return True
-        color = self.color
-        banned = self.banned
-        table_v = self.table[v]
-        full = self.full_mask
-        cap = max_used + 1
-        if cap > self.l - 1:
-            cap = self.l - 1
-        bmask = banned[v]
-        for c in range(cap + 1):
-            if bmask >> c & 1:
-                continue
-            self.nodes += 1
-            self.budget.check(self.nodes)
-            color[v] = c
-            bit = 1 << c
-            trail = []
-            dead = False
-            for x, z in table_v:
-                if color[x] == c and not banned[z] & bit:
-                    banned[z] |= bit
-                    trail.append(z)
-                    if banned[z] == full:
-                        dead = True
-                        break
-            if not dead and self._extend(v + 1, max_used if c <= max_used else c):
-                return True
-            for z in trail:
-                banned[z] ^= bit
-        color[v] = -1
-        return False
+        """Install a partial coloring of 1..len(prefix); False on conflict or
+        when it breaks the symmetry rule.  Banning every other color on the
+        prefix makes `_extend` walk straight down it, uncounted."""
+        for d in range(self.l):
+            self.banned[d] |= sum(1 << v for v, c in enumerate(prefix, start=1) if c != d)
+        saved = self.nodes, self.poll_at
+        self.depth, self.poll_at = len(prefix), sys.maxsize
+        ok = self._extend(1, -1)
+        self.depth, (self.nodes, self.poll_at) = self.n, saved
+        return ok
 
     def collect_prefixes(self, depth: int) -> list[tuple[int, ...]]:
-        """All viable partial colorings of 1..depth under the branching rules."""
-        out: list[tuple[int, ...]] = []
+        """All viable partial colorings of 1..depth under the branching rules;
+        their nodes count towards `nodes`."""
+        self.depth, self.prefixes = depth, []
+        self._extend(1, -1)
+        prefixes, self.depth, self.prefixes = self.prefixes, self.n, None
+        return prefixes
 
-        def walk(v: int, max_used: int) -> None:
-            if v > depth:
-                out.append(tuple(self.color[1 : depth + 1]))
-                return
-            color = self.color
-            banned = self.banned
-            cap = min(max_used + 1, self.l - 1)
-            bmask = banned[v]
-            for c in range(cap + 1):
-                if bmask >> c & 1:
-                    continue
-                color[v] = c
-                bit = 1 << c
-                trail = []
-                dead = False
-                for x, z in self.table[v]:
-                    if color[x] == c and not banned[z] & bit:
-                        banned[z] |= bit
-                        trail.append(z)
-                        if banned[z] == self.full_mask:
-                            dead = True
-                            break
-                if not dead:
-                    walk(v + 1, max_used if c <= max_used else c)
-                for z in trail:
-                    banned[z] ^= bit
-            color[v] = -1
+    def run(self, start_v: int, max_used: int) -> list[int] | None:
+        return self.coloring() if self._extend(start_v, max_used) else None
 
-        walk(1, -1)
-        return out
+    def _extend(self, v: int, max_used: int) -> bool:
+        if v > self.depth:
+            if self.prefixes is None:
+                return True
+            self.prefixes.append(tuple(self.coloring()))
+            return False
+        banned = self.banned
+        members = self.members
+        all_banned = self.all_banned
+        pairs_v = self.pairs[v]
+        bit = 1 << v
+        for c in self.choices[max_used + 1]:
+            b = banned[c]
+            if b & bit:
+                continue
+            nodes = self.nodes + 1
+            self.nodes = nodes
+            if nodes >= self.poll_at:
+                self._poll(nodes)
+            # New bans land above v only and no integer was fully banned
+            # before, so the branch is dead iff all banned sets now meet.
+            m = members[c] | bit
+            members[c] = m
+            hits = m & pairs_v
+            if hits:
+                banned[c] = b | hits << v
+                if not all_banned() and self._extend(v + 1, max_used if c <= max_used else c):
+                    return True
+                banned[c] = b
+            elif self._extend(v + 1, max_used if c <= max_used else c):
+                return True
+            members[c] = m ^ bit
+        return False
 
 
 def _subtree_worker(args) -> tuple[list[int] | None, int]:
     l, n, restricted, allow_equal, prefix = args
-    searcher = _Searcher(l, n, restricted, allow_equal, _Budget(None, None))
+    searcher = _Searcher(l, n, restricted, allow_equal)
     if not searcher.seed_prefix(prefix):
         return None, 0
-    witness = searcher.run(len(prefix) + 1, max(prefix))
-    return witness, searcher.nodes
+    return searcher.run(len(prefix) + 1, max(prefix)), searcher.nodes
 
 
 def exists_valid_coloring(
@@ -255,24 +241,38 @@ def exists_valid_coloring(
         raise ValueError(f"color count must be >= 1, got {l}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    return _exists(l, n, restricted, allow_equal, max_nodes, max_seconds, threads, split_depth)[0]
+
+
+def _exists(l, n, restricted, allow_equal, max_nodes, max_seconds, threads, split_depth):
+    """The first witness, or None on refutation, and the nodes searched."""
     if threads > 1 and n > split_depth:
         # Budgets apply to the sequential path only; subtrees run to completion.
         return _exists_parallel(l, n, restricted, allow_equal, threads, split_depth)
-    searcher = _Searcher(l, n, restricted, allow_equal, _Budget(max_nodes, max_seconds))
-    return searcher.run(1, -1)
+    searcher = _Searcher(l, n, restricted, allow_equal, max_nodes, max_seconds)
+    return searcher.run(1, -1), searcher.nodes
 
 
 def _exists_parallel(
     l: int, n: int, restricted: bool, allow_equal: bool, threads: int, split_depth: int
-) -> list[int] | None:
-    base = _Searcher(l, n, restricted, allow_equal, _Budget(None, None))
+) -> tuple[list[int] | None, int]:
+    """Search each prefix of 1..split_depth (a cube) in a worker.  Returns the
+    first witness in prefix order and the nodes of the prefix enumeration
+    plus those of every cube up to the witness's: independent of
+    scheduling, and the single-process count for a refutation."""
+    base = _Searcher(l, n, restricted, allow_equal)
     prefixes = base.collect_prefixes(split_depth)
+    nodes = base.nodes
     jobs = [(l, n, restricted, allow_equal, prefix) for prefix in prefixes]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for witness, _nodes in pool.map(_subtree_worker, jobs, chunksize=1):
+    pool = ProcessPoolExecutor(max_workers=threads)
+    try:
+        for witness, cube_nodes in pool.map(_subtree_worker, jobs, chunksize=1):
+            nodes += cube_nodes
             if witness is not None:
-                return witness
-    return None
+                return witness, nodes
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return None, nodes
 
 
 @dataclass(frozen=True)
@@ -339,12 +339,8 @@ def schur_number(
         if node_room is not None and node_room <= 0:
             break
         try:
-            if threads > 1 and n > split_depth:
-                found = _exists_parallel(l, n, restricted, allow_equal, threads, split_depth)
-            else:
-                searcher = _Searcher(l, n, restricted, allow_equal, _Budget(node_room, remaining))
-                found = searcher.run(1, -1)
-                nodes_total += searcher.nodes
+            found, nodes = _exists(l, n, restricted, allow_equal, node_room, remaining, threads, split_depth)
+            nodes_total += nodes
         except BudgetExhausted as exc:
             nodes_total += exc.nodes
             break
