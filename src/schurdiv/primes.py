@@ -8,6 +8,7 @@ and the multiplicative-function evaluator factorizes small integers.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from math import isqrt
 
 __all__ = [
@@ -38,7 +39,7 @@ def sieve(limit: int) -> list[int]:
     for p in range(2, isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i, f in enumerate(flags) if f]
+    return list(compress(range(limit + 1), flags))
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
@@ -55,7 +56,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
         flags[start - lo :: p] = bytearray(len(flags[start - lo :: p]))
         if lo <= p <= hi:
             flags[p - lo] = 1
-    return [lo + i for i, f in enumerate(flags) if f]
+    return list(compress(range(lo, hi + 1), flags))
 
 
 def is_prime(n: int) -> bool:

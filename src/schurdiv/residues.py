@@ -1,15 +1,21 @@
 """Consecutive k-th power residues modulo primes.
 
-A residue r (0 < r < p) is a k-th power mod p exactly when
-r^((p-1)/d) == 1 mod p with d = gcd(k, p-1); one modular exponentiation
-per query, which is what makes whole-range prime scans cheap.
+A residue r (0 < r < p) is a k-th power mod p exactly when its character
+chi(r) = r^((p-1)/d) mod p is 1, with d = gcd(k, p-1).  `is_kth_residue`
+answers one query with one modular exponentiation.
 
 `residue_run_start` finds the least r whose run r, r+1, ..., r+m-1
 consists entirely of k-th power residues below p; primes with no such
-run are exceptional.  `scan_primes` sweeps a prime range and
-`lambda_estimate` aggregates the running maximum of those run starts —
-a range-limited empirical view of a quantity whose true supremum ranges
-over all non-exceptional primes.
+run are exceptional.  Its kernel walks r upwards and never exponentiates
+a composite: chi is completely multiplicative, so chi(r) = chi(q) *
+chi(r/q) mod p for the smallest prime factor q of r, read from a small
+table built on first use.  Only prime r (and r past the table) pay a
+`pow`, and when d = 1 every unit is a residue, so no `pow` runs at all.
+`scan_primes` sweeps a prime range and `lambda_estimate` aggregates the
+running maximum of those run starts — a range-limited empirical view of
+a quantity whose true supremum ranges over all non-exceptional primes.
+Scans take their primes from the sieve and validate k and m once, so the
+kernel never re-proves primality.
 
 `consecutive_pair_via_triple` is the constructive route to a consecutive
 residue pair: color {1..bound} by cosets of the k-th powers, find a
@@ -22,7 +28,8 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import gcd
+from functools import lru_cache
+from math import gcd, isqrt
 
 from .coloring import coset_coloring
 from .primes import is_prime, primes_in_range
@@ -72,12 +79,7 @@ def is_kth_residue(r: int, p: int, k: int) -> bool:
         raise ValueError(f"residue must satisfy 0 < r < p, got r={r}, p={p}")
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
-    return _is_residue_unchecked(r, p, k)
-
-
-def _is_residue_unchecked(r: int, p: int, k: int) -> bool:
-    d = gcd(k, p - 1)
-    return pow(r, (p - 1) // d, p) == 1
+    return pow(r, _exponent(p, k), p) == 1
 
 
 def residue_run_start(p: int, k: int, m: int) -> int | None:
@@ -85,14 +87,55 @@ def residue_run_start(p: int, k: int, m: int) -> int | None:
     None when no such run exists (an exceptional prime)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    _check_power_and_run(k, m)
+    return _run_start(p, k, m)
+
+
+def _check_power_and_run(k: int, m: int) -> None:
     if m < 1:
         raise ValueError(f"run length must be >= 1, got {m}")
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
-    exponent = (p - 1) // gcd(k, p - 1)
-    run = 0
-    for r in range(1, p):
-        if pow(r, exponent, p) == 1:
+
+
+def _exponent(p: int, k: int) -> int:
+    """(p-1)/d with d = gcd(k, p-1): r is a k-th power iff r^exponent == 1."""
+    return (p - 1) // gcd(k, p - 1)
+
+
+# Smallest prime factors of 0..4095; run starts of scanned primes stay far
+# below this, and larger r fall back to one `pow` each.
+_SPF_LIMIT = 1 << 12
+
+
+@lru_cache(maxsize=1)
+def _smallest_prime_factors() -> tuple[int, ...]:
+    spf = list(range(_SPF_LIMIT))
+    for q in range(2, isqrt(_SPF_LIMIT - 1) + 1):
+        if spf[q] == q:
+            for multiple in range(q * q, _SPF_LIMIT, q):
+                if spf[multiple] == multiple:
+                    spf[multiple] = q
+    return tuple(spf)
+
+
+def _run_start(p: int, k: int, m: int) -> int | None:
+    """`residue_run_start` for a p known to be prime and k, m >= 1."""
+    exponent = _exponent(p, k)
+    if exponent == p - 1 or m == 1:
+        # d = 1 makes every unit a residue; and 1 itself always is one.
+        return 1 if m <= p - 1 else None
+    spf = _smallest_prime_factors()
+    chi = [0, 1]  # chi[r] = r^exponent mod p, appended for each r < _SPF_LIMIT
+    run = 1
+    for r in range(2, p):
+        if r < _SPF_LIMIT:
+            q = spf[r]
+            c = pow(r, exponent, p) if q == r else chi[q] * chi[r // q] % p
+            chi.append(c)
+        else:
+            c = pow(r, exponent, p)
+        if c == 1:
             run += 1
             if run == m:
                 return r - m + 1
@@ -103,13 +146,14 @@ def residue_run_start(p: int, k: int, m: int) -> int | None:
 
 def _scan_block(args: tuple[int, int, int, int]) -> list[tuple[int, int | None]]:
     k, m, lo, hi = args
-    return [(p, residue_run_start(p, k, m)) for p in primes_in_range(lo, hi)]
+    return [(p, _run_start(p, k, m)) for p in primes_in_range(lo, hi)]
 
 
 def scan_primes(k: int, m: int, p_min: int, p_max: int, threads: int = 1) -> list[ResidueReport]:
     """One report per prime in [p_min, p_max], ascending regardless of threads."""
     if not 2 <= p_min <= p_max:
         raise ValueError(f"need 2 <= p_min <= p_max, got {p_min}..{p_max}")
+    _check_power_and_run(k, m)
     if threads <= 1:
         rows = _scan_block((k, m, p_min, p_max))
     else:
@@ -153,7 +197,8 @@ def exceptional_primes(k: int, m: int, p_max: int) -> list[int]:
     """Primes p <= p_max admitting no run of m consecutive k-th power residues."""
     if p_max < 2:
         raise ValueError(f"p_max must be >= 2, got {p_max}")
-    return [p for p in primes_in_range(2, p_max) if residue_run_start(p, k, m) is None]
+    _check_power_and_run(k, m)
+    return [p for p in primes_in_range(2, p_max) if _run_start(p, k, m) is None]
 
 
 @dataclass(frozen=True)

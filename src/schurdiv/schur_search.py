@@ -22,7 +22,8 @@ status, never an error.
 
 Optional multi-process search splits the tree at a fixed prefix depth;
 every subtree must be exhausted for a refutation, so exact results and
-node counts are independent of scheduling.
+node counts are independent of scheduling.  `schur_number` keeps one
+process pool for all n it searches.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial, reduce
 from operator import and_
@@ -241,37 +243,47 @@ def exists_valid_coloring(
         raise ValueError(f"color count must be >= 1, got {l}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _exists(l, n, restricted, allow_equal, max_nodes, max_seconds, threads, split_depth)[0]
+    with _process_pool(threads) as pool:
+        return _exists(l, n, restricted, allow_equal, max_nodes, max_seconds, split_depth, pool)[0]
 
 
-def _exists(l, n, restricted, allow_equal, max_nodes, max_seconds, threads, split_depth):
-    """The first witness, or None on refutation, and the nodes searched."""
-    if threads > 1 and n > split_depth:
+def _process_pool(threads: int):
+    """A context manager yielding a pool of `threads` workers, or None
+    when threads <= 1.  The pool starts no process before its first cube."""
+    return ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
+
+
+def _exists(l, n, restricted, allow_equal, max_nodes, max_seconds, split_depth, pool):
+    """The first witness, or None on refutation, and the nodes searched.
+    With a process pool, n above split_depth is split into cubes."""
+    if pool is not None and n > split_depth:
         # Budgets apply to the sequential path only; subtrees run to completion.
-        return _exists_parallel(l, n, restricted, allow_equal, threads, split_depth)
+        return _exists_parallel(l, n, restricted, allow_equal, split_depth, pool)
     searcher = _Searcher(l, n, restricted, allow_equal, max_nodes, max_seconds)
     return searcher.run(1, -1), searcher.nodes
 
 
 def _exists_parallel(
-    l: int, n: int, restricted: bool, allow_equal: bool, threads: int, split_depth: int
+    l: int, n: int, restricted: bool, allow_equal: bool, split_depth: int, pool: ProcessPoolExecutor
 ) -> tuple[list[int] | None, int]:
-    """Search each prefix of 1..split_depth (a cube) in a worker.  Returns the
-    first witness in prefix order and the nodes of the prefix enumeration
-    plus those of every cube up to the witness's: independent of
-    scheduling, and the single-process count for a refutation."""
+    """Search each prefix of 1..split_depth (a cube) in a pool worker.
+    Returns the first witness in prefix order and the nodes of the prefix
+    enumeration plus those of every cube up to the witness's: independent
+    of scheduling, and the single-process count for a refutation.  Cubes
+    still pending once the witness is in are cancelled."""
     base = _Searcher(l, n, restricted, allow_equal)
     prefixes = base.collect_prefixes(split_depth)
     nodes = base.nodes
-    jobs = [(l, n, restricted, allow_equal, prefix) for prefix in prefixes]
-    pool = ProcessPoolExecutor(max_workers=threads)
+    cubes = [pool.submit(_subtree_worker, (l, n, restricted, allow_equal, prefix)) for prefix in prefixes]
     try:
-        for witness, cube_nodes in pool.map(_subtree_worker, jobs, chunksize=1):
+        for cube in cubes:
+            witness, cube_nodes = cube.result()
             nodes += cube_nodes
             if witness is not None:
                 return witness, nodes
     finally:
-        pool.shutdown(cancel_futures=True)
+        for cube in cubes:
+            cube.cancel()
     return None, nodes
 
 
@@ -328,31 +340,34 @@ def schur_number(
 
     status = "lower_bound"
     n = W + 1
-    while True:
-        if refuted_at is not None and n >= refuted_at:
-            status = "exact"
-            break
-        if max_n is not None and n > max_n:
-            break
-        remaining = None if deadline is None else max(0.0, deadline - time.perf_counter())
-        node_room = None if max_nodes is None else max_nodes - nodes_total
-        if node_room is not None and node_room <= 0:
-            break
-        try:
-            found, nodes = _exists(l, n, restricted, allow_equal, node_room, remaining, threads, split_depth)
-            nodes_total += nodes
-        except BudgetExhausted as exc:
-            nodes_total += exc.nodes
-            break
-        if found is None:
-            status = "exact"
+    with _process_pool(threads) as pool:
+        while True:
+            if refuted_at is not None and n >= refuted_at:
+                status = "exact"
+                break
+            if max_n is not None and n > max_n:
+                break
+            remaining = None if deadline is None else max(0.0, deadline - time.perf_counter())
+            node_room = None if max_nodes is None else max_nodes - nodes_total
+            if node_room is not None and node_room <= 0:
+                break
+            try:
+                found, nodes = _exists(
+                    l, n, restricted, allow_equal, node_room, remaining, split_depth, pool
+                )
+                nodes_total += nodes
+            except BudgetExhausted as exc:
+                nodes_total += exc.nodes
+                break
+            if found is None:
+                status = "exact"
+                if cache is not None:
+                    _cache_record(cache, l, restricted, n, None, "refuted")
+                break
+            W, witness = n, found
             if cache is not None:
-                _cache_record(cache, l, restricted, n, None, "refuted")
-            break
-        W, witness = n, found
-        if cache is not None:
-            _cache_record(cache, l, restricted, n, found, "valid")
-        n += 1
+                _cache_record(cache, l, restricted, n, found, "valid")
+            n += 1
 
     if use_cache:
         save_search_cache(cache_path, cache)

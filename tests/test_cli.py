@@ -196,6 +196,15 @@ class TestResidues:
         assert code == 2
         assert "pmin" in err
 
+    @pytest.mark.parametrize("flag", ["--k", "--m"])
+    def test_bad_power_or_run_usage_error_without_primes(self, capsys, flag):
+        args = {"--k": "2", "--m": "2", flag: "0"}
+        code, out, err = run(
+            capsys, "residues", "--k", args["--k"], "--m", args["--m"], "--pmin", "4", "--pmax", "4"
+        )
+        assert (code, out) == (2, "")
+        assert ">= 1" in err
+
 
 class TestMult:
     def test_liouville_minimal(self, capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from schurdiv import residues as residues_module
 from schurdiv.primes import sieve
 from schurdiv.residues import (
     consecutive_pair_via_triple,
@@ -15,8 +16,9 @@ def brute_residue_set(p, k):
     return {pow(s, k, p) for s in range(1, p)}
 
 
-def brute_run_start(p, k, m):
-    residues = brute_residue_set(p, k)
+def brute_run_start(p, k, m, residues=None):
+    if residues is None:
+        residues = brute_residue_set(p, k)
     for r in range(1, p - m + 1):
         if all(r + t in residues for t in range(m)):
             return r
@@ -86,6 +88,43 @@ class TestRunStart:
             residue_run_start(9, 2, 2)
 
 
+class TestRunStartKernel:
+    """`_run_start`, the kernel behind every scan, for primes it trusts."""
+
+    def test_oracle_equivalence_below_3000(self):
+        # p = 2 and 3, d = 1, m > p - 1 and exceptional primes all occur.
+        for p in sieve(2999):
+            for k in range(1, 9):
+                residues = brute_residue_set(p, k)
+                for m in range(1, 5):
+                    want = brute_run_start(p, k, m, residues)
+                    assert residues_module._run_start(p, k, m) == want, (p, k, m)
+
+    def test_pow_fallback_past_the_factor_table(self, monkeypatch):
+        monkeypatch.setattr(residues_module, "_SPF_LIMIT", 16)
+        for p in sieve(400):
+            for k in (2, 3, 4, 6):
+                residues = brute_residue_set(p, k)
+                for m in (2, 3):
+                    want = brute_run_start(p, k, m, residues)
+                    assert residues_module._run_start(p, k, m) == want, (p, k, m)
+
+    def test_scans_never_retest_primality(self, monkeypatch):
+        expected = scan_primes(3, 2, 2, 3000)
+        expected_exceptional = exceptional_primes(2, 3, 200)
+
+        def refuse(n):
+            raise AssertionError(f"is_prime({n}) called")
+
+        monkeypatch.setattr(residues_module, "is_prime", refuse)
+        assert scan_primes(3, 2, 2, 3000) == expected
+        assert scan_primes(3, 2, 2, 3000, threads=2) == expected
+        assert exceptional_primes(2, 3, 200) == expected_exceptional
+        monkeypatch.undo()
+        with pytest.raises(ValueError):
+            residue_run_start(9, 2, 2)
+
+
 class TestScan:
     def test_scan_7_to_50(self):
         reports = scan_primes(2, 2, 7, 50)
@@ -121,6 +160,15 @@ class TestScan:
     def test_bad_range(self):
         with pytest.raises(ValueError):
             scan_primes(2, 2, 10, 5)
+
+    @pytest.mark.parametrize("k, m", [(0, 2), (2, 0), (-1, 1)])
+    def test_bad_power_or_run_even_without_primes(self, k, m):
+        with pytest.raises(ValueError):
+            scan_primes(k, m, 4, 4)
+        with pytest.raises(ValueError):
+            scan_primes(k, m, 24, 28, threads=2)
+        with pytest.raises(ValueError):
+            exceptional_primes(k, m, 2)
 
 
 class TestExceptionalPrimes:

@@ -6,6 +6,7 @@ same budget cut, the same prefix lists and the same seeded subtrees,
 because the branching order and the pruning are unchanged.
 """
 
+from concurrent.futures import ProcessPoolExecutor
 from itertools import product as iproduct
 
 import pytest
@@ -130,12 +131,14 @@ class TestParallelNodes:
     def test_refutation_counts_every_node(self):
         seq = _new(3, 14, False, True)
         assert seq.run(1, -1) is None
-        for depth in (3, 5):
-            assert schur_search._exists_parallel(3, 14, False, True, 2, depth) == (None, seq.nodes)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            for depth in (3, 5):
+                assert schur_search._exists_parallel(3, 14, False, True, depth, pool) == (None, seq.nodes)
 
     def test_witness_cube_total_is_deterministic(self):
-        first = schur_search._exists_parallel(3, 13, False, True, 2, 4)
-        again = schur_search._exists_parallel(3, 13, False, True, 2, 4)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            first = schur_search._exists_parallel(3, 13, False, True, 4, pool)
+            again = schur_search._exists_parallel(3, 13, False, True, 4, pool)
         assert first == again
         assert first[0] == exists_valid_coloring(3, 13)
 
@@ -144,3 +147,21 @@ class TestParallelNodes:
         par = schur_number(3, threads=2, split_depth=5)
         assert (par.W, par.S, par.witness_coloring) == (seq.W, seq.S, seq.witness_coloring)
         assert par.stats.nodes >= seq.stats.nodes
+
+    def test_schur_number_reuses_one_pool(self, monkeypatch):
+        built = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(schur_search, "ProcessPoolExecutor", CountingPool)
+        seq = schur_number(3)
+        par = schur_number(3, threads=2, split_depth=4)
+        assert built == [{"max_workers": 2}]
+        assert (par.W, par.S, par.witness_coloring) == (seq.W, seq.S, seq.witness_coloring)
+        # The total of a fresh pool per n.  It exceeds the single-process
+        # 397 because the prefix enumeration of each witnessed n also
+        # visits the prefixes after the witness cube.
+        assert (seq.stats.nodes, par.stats.nodes) == (397, 449)
