@@ -13,7 +13,8 @@ OutOfDomainError outside their table.
 Coset colorings assign one color per coset of the subgroup of k-th
 powers in the multiplicative group mod p (ordered by smallest positive
 representative) plus one dedicated extra color for multiples of p, which
-makes them total on all positive integers.
+makes them total on all positive integers.  They tell cosets apart by a
+power character evaluated per query, so they build no table of size p.
 
 A one-line spec grammar mirrors all of this for the command line:
 
@@ -118,8 +119,13 @@ class ResidueColoring(Coloring):
 class CosetColoring(Coloring):
     """Cosets of the k-th-power subgroup mod p, plus an extra color at 0 mod p.
 
-    Coset colors are indexed by smallest positive representative; the extra
-    color is the last index.  The number of coset classes is gcd(k, p-1).
+    With d = gcd(k, p-1), the k-th powers mod p are the kernel of the
+    character chi(r) = r^((p-1)/d) mod p, which takes d values and so names
+    the coset of r.  Construction walks r = 1, 2, ... and gives each new
+    chi value the next color index until all d have appeared, so coset
+    colors follow smallest positive representative; the extra color is the
+    last index.  Each query evaluates chi with one `pow`, and nothing of
+    size p is kept.
     """
 
     def __init__(self, p: int, k: int):
@@ -134,30 +140,29 @@ class CosetColoring(Coloring):
         self.num_colors = self.coset_count + 1
         self.domain_max = None
         self.modulus = p
-
-        powers = sorted({pow(s, k, p) for s in range(1, p)})
-        table = [self.extra_color] * p  # index 0 keeps the extra color
-        next_color = 0
-        for r in range(1, p):
-            if table[r] == self.extra_color:
-                for h in powers:
-                    table[r * h % p] = next_color
-                next_color += 1
-        assert next_color == self.coset_count
-        self._color_by_residue = tuple(table)
+        self.exponent = (p - 1) // self.coset_count
+        color_by_chi: dict[int, int] = {}
+        r = 1
+        while len(color_by_chi) < self.coset_count:
+            color_by_chi.setdefault(pow(r, self.exponent, p), len(color_by_chi))
+            r += 1
+        self._color_by_chi = color_by_chi
 
     def color_of(self, n: int) -> int:
         self._check_positive(n)
-        return self._color_by_residue[n % self.p]
+        return self.color_of_residue(n)
 
     def color_of_residue(self, r: int) -> int:
-        return self._color_by_residue[r % self.p]
+        r %= self.p
+        if r == 0:
+            return self.extra_color
+        return self._color_by_chi[pow(r, self.exponent, self.p)]
 
     def classes_on_units(self) -> tuple[frozenset[int], ...]:
         """The coset classes restricted to {1..p-1}, indexed by color."""
         classes = [set() for _ in range(self.coset_count)]
         for r in range(1, self.p):
-            classes[self._color_by_residue[r]].add(r)
+            classes[self.color_of_residue(r)].add(r)
         return tuple(frozenset(c) for c in classes)
 
 

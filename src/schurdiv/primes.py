@@ -99,7 +99,9 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> list[tuple[int, int]
         raise ValueError(f"cannot factorize n={n}; need n >= 1")
     out: list[tuple[int, int]] = []
     rest = n
-    for p in prime_table(bound):
+    # Primes up to isqrt(n) decide the factorization; a power-of-two table
+    # size keeps the cached table sizes few.
+    for p in prime_table(min(bound, 1 << isqrt(n).bit_length())):
         if p * p > rest:
             break
         if rest % p == 0:

@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple
 from .coloring import Coloring, CosetColoring, OutOfDomainError, ResidueColoring
 from .primes import FactorizationBudgetError
 from .sequences import (
+    _EXACT_FACTORIAL_TERMS,
     FACTORIAL,
     EvaluationInfeasibleError,
     generate,
@@ -54,7 +55,7 @@ __all__ = [
 _R3_EXACT = {1: 3, 2: 6, 3: 17}
 
 # Terms of the factorial witness sequence that fit in memory.
-_MATERIALIZABLE_TERMS = 5
+_MATERIALIZABLE_TERMS = len(_EXACT_FACTORIAL_TERMS)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ status, never an error.
 Optional multi-process search splits the tree at a fixed prefix depth;
 every subtree must be exhausted for a refutation, so exact results and
 node counts are independent of scheduling.  `schur_number` keeps one
-process pool for all n it searches.
+process pool for all n it searches.  A search with a node or wall-clock
+budget runs in one process, where the budget is polled exactly.
 """
 
 from __future__ import annotations
@@ -255,9 +256,9 @@ def _process_pool(threads: int):
 
 def _exists(l, n, restricted, allow_equal, max_nodes, max_seconds, split_depth, pool):
     """The first witness, or None on refutation, and the nodes searched.
-    With a process pool, n above split_depth is split into cubes."""
-    if pool is not None and n > split_depth:
-        # Budgets apply to the sequential path only; subtrees run to completion.
+    With a process pool, an unbudgeted n above split_depth is split into
+    cubes; a budgeted search runs here, where the budget is polled exactly."""
+    if pool is not None and n > split_depth and max_nodes is None and max_seconds is None:
         return _exists_parallel(l, n, restricted, allow_equal, split_depth, pool)
     searcher = _Searcher(l, n, restricted, allow_equal, max_nodes, max_seconds)
     return searcher.run(1, -1), searcher.nodes

@@ -99,6 +99,26 @@ class TestWitness:
         assert code == 1
 
 
+# Reports recorded from the earlier table-based coset coloring; the
+# character-based one must reproduce them byte for byte.
+COSET_1000003_3_GOLDEN = {
+    "ramsey": '{"color":0,"found":true,"parameters":{"coloring":"coset:1000003:3",'
+    '"max-n":null,"seed":20240901,"via":"ramsey"},"quotient":"8","r_exact":false,'
+    '"r_vertices":66,"subcommand":"witness","tool_version":"0.1.0","triangle":[2,4,5],'
+    '"via":"ramsey-construction","x":"3","y":"24","z":"27"}\n',
+    "direct": '{"color":0,"found":true,"parameters":{"coloring":"coset:1000003:3",'
+    '"max-n":null,"seed":20240901,"via":"direct"},"quotient":"8","subcommand":"witness",'
+    '"tool_version":"0.1.0","via":"direct-search","x":"1","y":"8","z":"9"}\n',
+}
+
+
+@pytest.mark.parametrize("via", sorted(COSET_1000003_3_GOLDEN))
+def test_coset_witness_golden(capsys, via):
+    code, out, err = run(capsys, "witness", "--coloring", "coset:1000003:3", "--via", via)
+    assert code == 0, err
+    assert out == COSET_1000003_3_GOLDEN[via]
+
+
 class TestRamsey:
     def test_exact(self, capsys):
         report = run_json(capsys, "ramsey", "--colors", "3")

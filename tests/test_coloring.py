@@ -1,9 +1,11 @@
+import builtins
 import json
 import math
 import random
 
 import pytest
 
+from schurdiv import coloring
 from schurdiv.coloring import (
     ColoringSpecError,
     CosetColoring,
@@ -20,6 +22,24 @@ from schurdiv.multiplicative import UnityFunction
 
 def brute_power_residues(p, k):
     return {pow(s, k, p) for s in range(1, p)}
+
+
+def brute_coset_table(p, k):
+    """Color of each residue mod p from the definition: cosets of the k-th
+    powers colored in order of smallest representative, 0 mod p last."""
+    powers = brute_power_residues(p, k)
+    table = [None] * p
+    next_color = 0
+    for r in range(1, p):
+        if table[r] is None:
+            for h in powers:
+                table[r * h % p] = next_color
+            next_color += 1
+    table[0] = next_color
+    return table
+
+
+PRIMES_BELOW_200 = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
 
 
 class TestResidueColoring:
@@ -115,6 +135,37 @@ class TestCosetColoring:
     def test_purity(self):
         c = coset_coloring(17, 2)
         assert [c.color_of(9)] * 5 == [c.color_of(9) for _ in range(5)]
+
+    @pytest.mark.parametrize("p", PRIMES_BELOW_200)
+    def test_matches_brute_force_table(self, p):
+        for k in range(1, p + 2):
+            c = coset_coloring(p, k)
+            table = brute_coset_table(p, k)
+            assert c.num_colors == table[0] + 1, (p, k)
+            assert [c.color_of(n) for n in range(1, 2 * p + 2)] == [
+                table[n % p] for n in range(1, 2 * p + 2)
+            ], (p, k)
+            classes = tuple(
+                frozenset(r for r in range(1, p) if table[r] == color)
+                for color in range(table[0])
+            )
+            assert c.classes_on_units() == classes, (p, k)
+
+    def test_construction_makes_few_pow_calls(self, monkeypatch):
+        calls = []
+
+        def counting_pow(*args):
+            calls.append(args)
+            return builtins.pow(*args)
+
+        monkeypatch.setattr(coloring, "pow", counting_pow, raising=False)
+        c = coset_coloring(1000003, 3)
+        # A walk over r = 1, 2, ... until all three character values appear;
+        # a table over all residues would take about 10^6 calls.
+        assert len(calls) <= 8
+        calls.clear()
+        c.color_of(10**40 + 7)
+        assert len(calls) == 1
 
 
 class TestUnityColoring:

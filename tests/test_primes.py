@@ -1,5 +1,8 @@
+from math import isqrt
+
 import pytest
 
+from schurdiv import primes
 from schurdiv.primes import (
     FactorizationBudgetError,
     factorize,
@@ -63,6 +66,59 @@ def test_factorize_budget():
     assert factorize(4 * p, bound=1000) == [(2, 2), (p, 1)]
     with pytest.raises(FactorizationBudgetError):
         factorize(p * q, bound=1000)
+
+
+def reference_factorize(n, bound):
+    """Trial division by every integer up to `bound`, with the same budget
+    rule for the leftover cofactor; None where a budget error is due."""
+    out, rest, d = [], n, 2
+    while d <= bound and d * d <= rest:
+        e = 0
+        while rest % d == 0:
+            rest //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    if rest > 1:
+        if rest > bound * bound and not is_prime(rest):
+            return None
+        out.append((rest, 1))
+    return out
+
+
+# Squares and products of primes just below and above powers of two, where
+# a trial-division table sized to isqrt(n) is tightest.
+EDGE_N = [8191**2, 8191 * 8209, 65521**2, 65537**2, 65521 * 65537, 2**31 - 1, 4 * 65537**2]
+
+
+@pytest.mark.parametrize("bound", [10**6, 100, 7, 2])
+def test_factorize_matches_reference(bound):
+    for n in list(range(1, 3001)) + EDGE_N:
+        expected = reference_factorize(n, bound)
+        if expected is None:
+            with pytest.raises(FactorizationBudgetError):
+                factorize(n, bound)
+        else:
+            assert factorize(n, bound) == expected, (n, bound)
+
+
+def test_factorize_sizes_its_table_to_n(monkeypatch):
+    limits = []
+    table = primes.prime_table
+
+    def recording_table(limit):
+        limits.append(limit)
+        return table(limit)
+
+    monkeypatch.setattr(primes, "prime_table", recording_table)
+    for n in (12, 10**6 + 3, 65537**2):
+        limits.clear()
+        factorize(n)
+        assert limits and max(limits) <= 2 * isqrt(n) + 1, (n, limits)
+    limits.clear()
+    factorize(2**61 - 1)
+    assert limits == [primes.DEFAULT_FACTOR_BOUND]
 
 
 def test_factorize_rejects_nonpositive():

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product as iproduct
 
 import pytest
@@ -172,6 +173,29 @@ class TestSchurNumber:
         par = schur_number(2, restricted=True, threads=2, split_depth=4)
         assert (par.status, par.W, par.S) == (seq.status, seq.W, seq.S)
         assert par.witness_coloring == seq.witness_coloring
+
+
+class TestThreadedBudgets:
+    """A budgeted search runs in one process even when threads > 1, so the
+    budget is polled exactly and the result is the single-process one."""
+
+    def test_node_budget_raises(self):
+        with pytest.raises(BudgetExhausted) as exc:
+            exists_valid_coloring(4, 44, threads=2, max_nodes=10)
+        assert exc.value.nodes == 11
+
+    def test_node_budget_matches_single_process(self):
+        seq = schur_number(4, max_nodes=5000)
+        par = schur_number(4, threads=2, max_nodes=5000)
+        assert (par.status, par.W, par.stats.nodes) == (seq.status, seq.W, seq.stats.nodes)
+        assert par.witness_coloring == seq.witness_coloring
+        assert (par.status, par.stats.nodes) == ("lower_bound", 5001)
+
+    def test_time_budget_stops(self):
+        start = time.perf_counter()
+        result = schur_number(4, threads=2, max_seconds=1.0)
+        assert result.status == "lower_bound"
+        assert time.perf_counter() - start < 10.0
 
 
 class TestCache:
