@@ -20,6 +20,7 @@ from .coloring import (
     coset_coloring,
     parity_coloring,
     parse_coloring_spec,
+    parse_prime_exponents,
     unity_coloring,
 )
 from .multiplicative import (
@@ -61,6 +62,7 @@ from .residues import (
 )
 from .schur_search import (
     BudgetExhausted,
+    CacheError,
     ForbiddenTriple,
     SearchResult,
     SearchStats,

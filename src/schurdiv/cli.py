@@ -38,9 +38,10 @@ import os
 import sys
 
 from . import __version__
-from .coloring import ColoringSpecError, parse_coloring_spec
+from .coloring import ColoringSpecError, parse_coloring_spec, parse_prime_exponents
 from .multiplicative import UnityFunction, min_consecutive_ones, verify_consecutive_ones_bound
-from .primes import FactorizationBudgetError, is_prime
+# is_prime stays a module attribute: bench/trace_cli.py wraps cli.is_prime.
+from .primes import FactorizationBudgetError, is_prime  # noqa: F401
 from .ramsey import direct_schur_div_search, r3_value_or_bound, witness_via_ramsey
 from .residues import scan_primes, summarize_reports
 from .schur_search import schur_number
@@ -256,30 +257,14 @@ def _cmd_residues(args) -> int:
     return 0
 
 
-def _parse_prime_exponents(text: str) -> dict[int, int]:
-    if not text:
-        return {}
-    out: dict[int, int] = {}
-    for pair in text.split(","):
-        p_token, sep, e_token = pair.partition("=")
-        if not sep:
-            raise UsageError(f"--primes expects p=e pairs, got {pair!r}")
-        try:
-            p, e = int(p_token), int(e_token)
-        except ValueError:
-            raise UsageError(f"--primes expects integer p=e pairs, got {pair!r}") from None
-        if not is_prime(p):
-            raise UsageError(f"--primes: {p} is not prime")
-        if p in out:
-            raise UsageError(f"--primes: prime {p} assigned twice")
-        out[p] = e
-    return out
-
-
 def _cmd_mult(args) -> int:
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
-    func = UnityFunction(args.k, _parse_prime_exponents(args.primes), args.default_exp)
+    try:
+        exponents = parse_prime_exponents(args.primes)
+    except ColoringSpecError as exc:
+        raise UsageError(f"--primes: {exc}") from exc
+    func = UnityFunction(args.k, exponents, args.default_exp)
     out = _provenance(args, ["k", "primes", "default-exp", "bound", "verify-s-prime"])
     minimal = min_consecutive_ones(func, args.bound)
     out.update(k=args.k, minimal_a=minimal, search_bound=args.bound, witness=None)

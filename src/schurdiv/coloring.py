@@ -41,6 +41,7 @@ __all__ = [
     "coset_coloring",
     "parity_coloring",
     "parse_coloring_spec",
+    "parse_prime_exponents",
     "unity_coloring",
 ]
 
@@ -198,6 +199,30 @@ def _spec_int(spec: str, token: str, position: int, what: str) -> int:
         raise ColoringSpecError(spec, position, f"expected an integer {what}, got {token!r}") from None
 
 
+def parse_prime_exponents(text: str, spec: str | None = None, position: int = 0) -> dict[int, int]:
+    """Parse `p1=e1,p2=e2,...` (possibly empty) into {prime: exponent}.
+    `text` starts at `position` of `spec` (default: text itself), which
+    errors report as a ColoringSpecError."""
+    if spec is None:
+        spec = text
+    exponents: dict[int, int] = {}
+    if not text:
+        return exponents
+    for pair in text.split(","):
+        p_token, sep, e_token = pair.partition("=")
+        if not sep:
+            raise ColoringSpecError(spec, position, f"expected p=e, got {pair!r}")
+        p = _spec_int(spec, p_token, position, "prime")
+        e = _spec_int(spec, e_token, position + len(p_token) + 1, "exponent")
+        if not is_prime(p):
+            raise ColoringSpecError(spec, position, f"{p} is not prime")
+        if p in exponents:
+            raise ColoringSpecError(spec, position, f"prime {p} assigned twice")
+        exponents[p] = e
+        position += len(pair) + 1
+    return exponents
+
+
 def parse_coloring_spec(spec: str) -> Coloring:
     """Parse the one-line coloring grammar (see module docstring)."""
     if spec == "parity":
@@ -250,21 +275,7 @@ def parse_coloring_spec(spec: str) -> Coloring:
         if k < 1:
             raise ColoringSpecError(spec, body_pos, "root order must be >= 1")
         assigns_pos = body_pos + len(parts[0]) + 1
-        exponents: dict[int, int] = {}
-        if parts[1]:
-            offset = assigns_pos
-            for pair in parts[1].split(","):
-                p_token, sep, e_token = pair.partition("=")
-                if not sep:
-                    raise ColoringSpecError(spec, offset, f"expected p=e, got {pair!r}")
-                p = _spec_int(spec, p_token, offset, "prime")
-                e = _spec_int(spec, e_token, offset + len(p_token) + 1, "exponent")
-                if not is_prime(p):
-                    raise ColoringSpecError(spec, offset, f"{p} is not prime")
-                if p in exponents:
-                    raise ColoringSpecError(spec, offset, f"prime {p} assigned twice")
-                exponents[p] = e
-                offset += len(pair) + 1
+        exponents = parse_prime_exponents(parts[1], spec, assigns_pos)
         default = 0
         if len(parts) == 3:
             default_pos = assigns_pos + len(parts[1]) + 1

@@ -16,9 +16,8 @@ a = y/x and a+1 = z/x on which the function is 1.  That pipeline is what
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .primes import DEFAULT_FACTOR_BOUND, factorize, is_prime
 
@@ -31,24 +30,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UnityFunction:
-    """Exponent data: prime -> exponent mod k, plus a default exponent."""
-
+class _UnityFields(NamedTuple):
     k: int
-    prime_exponents: Mapping[int, int] = field(default_factory=dict)
+    prime_exponents: Mapping[int, int] = MappingProxyType({})
     default_exponent: int = 0
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+
+class UnityFunction(_UnityFields):
+    """Exponent data: prime -> exponent mod k, plus a default exponent."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, prime_exponents: Mapping[int, int] = MappingProxyType({}),
+                default_exponent: int = 0):
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         normalized = {}
-        for p, e in dict(self.prime_exponents).items():
+        for p, e in dict(prime_exponents).items():
             if not is_prime(p):
                 raise ValueError(f"exponent assigned to non-prime {p}")
-            normalized[p] = e % self.k
-        object.__setattr__(self, "prime_exponents", MappingProxyType(normalized))
-        object.__setattr__(self, "default_exponent", self.default_exponent % self.k)
+            normalized[p] = e % k
+        return super().__new__(cls, k, MappingProxyType(normalized), default_exponent % k)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     def exponent_of(self, p: int) -> int:
         return self.prime_exponents.get(p, self.default_exponent)
@@ -79,8 +85,7 @@ def min_consecutive_ones(
     return None
 
 
-@dataclass(frozen=True)
-class ConsecutiveOnesWitness:
+class ConsecutiveOnesWitness(NamedTuple):
     x: int
     y: int
     z: int

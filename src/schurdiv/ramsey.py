@@ -21,7 +21,6 @@ descriptors otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
 from types import MappingProxyType
@@ -58,8 +57,7 @@ _R3_EXACT = {1: 3, 2: 6, 3: 17}
 _MATERIALIZABLE_TERMS = len(_EXACT_FACTORIAL_TERMS)
 
 
-@dataclass(frozen=True)
-class R3Info:
+class R3Info(NamedTuple):
     colors: int
     vertices: int
     exact: bool
@@ -131,8 +129,7 @@ def pentagon_two_coloring() -> EdgeColoring:
     return edge_coloring_from_function(5, lambda i, j: 0 if (i, j) in cycle else 1)
 
 
-@dataclass(frozen=True)
-class SchurWitness:
+class SchurWitness(NamedTuple):
     """A triple x + y = z with x | y, all three sharing `color`.
 
     Values are None when the triple is only expressible through block-sum

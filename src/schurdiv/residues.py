@@ -15,7 +15,9 @@ table built on first use.  Only prime r (and r past the table) pay a
 running maximum of those run starts — a range-limited empirical view of
 a quantity whose true supremum ranges over all non-exceptional primes.
 Scans take their primes from the sieve and validate k and m once, so the
-kernel never re-proves primality.
+kernel never re-proves primality.  A threaded scan imports
+`concurrent.futures` when it builds its pool, so importing this module
+loads no multiprocessing machinery.
 
 `consecutive_pair_via_triple` is the constructive route to a consecutive
 residue pair: color {1..bound} by cosets of the k-th powers, find a
@@ -26,10 +28,9 @@ k-th power residues.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .coloring import coset_coloring
 from .primes import is_prime, primes_in_range
@@ -48,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ResidueReport:
+class ResidueReport(NamedTuple):
     p: int
     k: int
     m: int
@@ -60,8 +60,7 @@ class ResidueReport:
         return self.r is None
 
 
-@dataclass(frozen=True)
-class LambdaEstimate:
+class LambdaEstimate(NamedTuple):
     k: int
     m: int
     p_min: int
@@ -157,6 +156,8 @@ def scan_primes(k: int, m: int, p_min: int, p_max: int, threads: int = 1) -> lis
     if threads <= 1:
         rows = _scan_block((k, m, p_min, p_max))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         span = p_max - p_min + 1
         width = max(1024, span // (threads * 8) + 1)
         blocks = [
@@ -201,8 +202,7 @@ def exceptional_primes(k: int, m: int, p_max: int) -> list[int]:
     return [p for p in primes_in_range(2, p_max) if _run_start(p, k, m) is None]
 
 
-@dataclass(frozen=True)
-class ConsecutivePair:
+class ConsecutivePair(NamedTuple):
     y_prime: int
     z_prime: int
     witness: SchurWitness

@@ -25,6 +25,12 @@ every subtree must be exhausted for a refutation, so exact results and
 node counts are independent of scheduling.  `schur_number` keeps one
 process pool for all n it searches.  A search with a node or wall-clock
 budget runs in one process, where the budget is polled exactly.
+`concurrent.futures` is imported by `_process_pool` on the first
+threaded call, so a single-process run never loads multiprocessing.
+
+The cache is evidence, not trusted: every witness read back is
+revalidated, and a refutation at or below a witnessed n is rejected
+with `CacheError`.
 """
 
 from __future__ import annotations
@@ -33,9 +39,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
-from dataclasses import dataclass
+from contextlib import nullcontext, suppress
 from functools import partial, reduce
 from operator import and_
 from typing import NamedTuple, Sequence
@@ -43,6 +47,7 @@ from typing import NamedTuple, Sequence
 __all__ = [
     "BudgetExhausted",
     "CACHE_VERSION",
+    "CacheError",
     "ForbiddenTriple",
     "SearchResult",
     "SearchStats",
@@ -72,6 +77,11 @@ class BudgetExhausted(Exception):
     def __init__(self, nodes: int):
         self.nodes = nodes
         super().__init__(f"search budget exhausted after {nodes} nodes")
+
+
+class CacheError(RuntimeError):
+    """A cache entry that fails its re-check: a witness that is not a
+    valid coloring, or a refutation contradicted by a witness."""
 
 
 def forbidden_triples(n: int, restricted: bool, allow_equal: bool = True) -> list[ForbiddenTriple]:
@@ -251,7 +261,11 @@ def exists_valid_coloring(
 def _process_pool(threads: int):
     """A context manager yielding a pool of `threads` workers, or None
     when threads <= 1.  The pool starts no process before its first cube."""
-    return ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
+    if threads <= 1:
+        return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=threads)
 
 
 def _exists(l, n, restricted, allow_equal, max_nodes, max_seconds, split_depth, pool):
@@ -265,7 +279,7 @@ def _exists(l, n, restricted, allow_equal, max_nodes, max_seconds, split_depth, 
 
 
 def _exists_parallel(
-    l: int, n: int, restricted: bool, allow_equal: bool, split_depth: int, pool: ProcessPoolExecutor
+    l: int, n: int, restricted: bool, allow_equal: bool, split_depth: int, pool
 ) -> tuple[list[int] | None, int]:
     """Search each prefix of 1..split_depth (a cube) in a pool worker.
     Returns the first witness in prefix order and the nodes of the prefix
@@ -288,14 +302,12 @@ def _exists_parallel(
     return None, nodes
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     nodes: int
     wall_time: float
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     colors: int
     restricted: bool
     status: str  # "exact" | "lower_bound"
@@ -323,7 +335,8 @@ def schur_number(
     With a cache path, previously proven witnesses and refutations for the
     same (l, restricted) pair are reused and new ones recorded.  Cached
     entries assume the default triple convention, so a non-default
-    allow_equal bypasses the cache.
+    allow_equal bypasses the cache.  A cached witness that does not
+    revalidate, or a refutation contradicted by one, raises CacheError.
     """
     start = time.perf_counter()
     deadline = None if max_seconds is None else start + max_seconds
@@ -337,7 +350,7 @@ def schur_number(
     W, witness = 0, []
     refuted_at: int | None = None
     if cache is not None:
-        W, witness, refuted_at = _cache_best(cache, l, restricted)
+        W, witness, refuted_at = _cache_best(cache, cache_path, l, restricted)
 
     status = "lower_bound"
     n = W + 1
@@ -400,25 +413,63 @@ def load_search_cache(path: str) -> dict:
 
 
 def save_search_cache(path: str, cache: dict) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(cache, fh, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    """Write through a temporary file named for this process, so that
+    concurrent writers never share one, then rename it over `path`.  A
+    failed write removes its temporary file and leaves `path` as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(cache, fh, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
-def _cache_best(cache: dict, l: int, restricted: bool) -> tuple[int, list[int], int | None]:
+def _cache_best(
+    cache: dict, path: str, l: int, restricted: bool
+) -> tuple[int, list[int], int | None]:
+    """The largest cached witness and the least cached refutation for
+    (l, restricted).  Raises CacheError, naming the entry, for a witness
+    that does not revalidate or a refutation at or below a witnessed n."""
     best_n, best_coloring = 0, []
     refuted: int | None = None
-    for entry in cache["entries"]:
+    refuted_index = None
+    for index, entry in enumerate(cache["entries"]):
         if entry.get("l") != l or bool(entry.get("restricted")) != restricted:
             continue
-        n = entry.get("n")
-        if entry.get("status") == "valid" and n > best_n:
-            best_n, best_coloring = n, list(entry.get("coloring") or [])
-        if entry.get("status") == "refuted" and (refuted is None or n < refuted):
-            refuted = n
+        n, status = entry.get("n"), entry.get("status")
+        fault = None
+        if type(n) is not int or n < 1:
+            fault = "n is not a positive integer"
+        elif status == "valid":
+            fault = _witness_fault(entry.get("coloring"), n, l, restricted)
+        if fault is not None:
+            raise CacheError(f"cache {path}: entry {index} ({l} colors, n={n!r}, {status}): {fault}")
+        if status == "valid" and n > best_n:
+            best_n, best_coloring = n, list(entry["coloring"])
+        if status == "refuted" and (refuted is None or n < refuted):
+            refuted, refuted_index = n, index
+    if refuted is not None and refuted <= best_n:
+        raise CacheError(
+            f"cache {path}: entry {refuted_index} ({l} colors, n={refuted}, refuted) "
+            f"contradicts the cached witness at n={best_n}"
+        )
     return best_n, best_coloring, refuted
+
+
+def _witness_fault(coloring, n: int, l: int, restricted: bool) -> str | None:
+    if not isinstance(coloring, list) or len(coloring) != n:
+        return f"the coloring does not have length {n}"
+    if not all(type(c) is int and 0 <= c < l for c in coloring):
+        return f"the coloring uses colors outside 0..{l - 1}"
+    hits = validate_coloring(coloring, restricted)
+    if hits:
+        x, y, z, _ = hits[0]
+        return f"the coloring makes {x} + {y} = {z} monochromatic"
+    return None
 
 
 def _cache_record(cache: dict, l: int, restricted: bool, n: int, coloring, status: str) -> None:

@@ -30,9 +30,9 @@ terms ever fall below that threshold for any representable modulus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .primes import factorize
 
@@ -82,8 +82,7 @@ class EvaluationInfeasibleError(ValueError):
     """The requested quantity cannot be evaluated exactly at feasible cost."""
 
 
-@dataclass(frozen=True)
-class WitnessSequence:
+class WitnessSequence(NamedTuple):
     """Terms plus prefix sums; prefix_sums[t] is the sum of the first t terms."""
 
     kind: str
@@ -171,8 +170,7 @@ def interval_sum(seq: WitnessSequence, i: int, j: int) -> int:
     return seq.prefix_sums[j - 1] - seq.prefix_sums[i - 1]
 
 
-@dataclass(frozen=True)
-class LemmaViolation:
+class LemmaViolation(NamedTuple):
     i: int
     j: int
     k: int
@@ -180,8 +178,7 @@ class LemmaViolation:
     y: int
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     kind: str
     limit: int
     triples_checked: int

@@ -251,6 +251,12 @@ class TestMult:
         assert code == 2
         assert "not prime" in err
 
+    @pytest.mark.parametrize("primes", ["2", "2=x", "x=1", "2=1,2=0", "2=1,,3=1", "1=1"])
+    def test_malformed_primes_usage_error(self, capsys, primes):
+        code, out, err = run(capsys, "mult", "--k", "2", "--primes", primes)
+        assert (code, out) == (2, "")
+        assert err.startswith("schur-div: --primes:")
+
 
 class TestUsage:
     def test_unknown_flag(self, capsys):

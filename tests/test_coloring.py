@@ -15,6 +15,7 @@ from schurdiv.coloring import (
     coset_coloring,
     parity_coloring,
     parse_coloring_spec,
+    parse_prime_exponents,
     unity_coloring,
 )
 from schurdiv.multiplicative import UnityFunction
@@ -240,6 +241,28 @@ class TestSpecGrammar:
         with pytest.raises(ColoringSpecError) as exc:
             parse_coloring_spec(spec)
         assert exc.value.position == position
+
+    def test_prime_exponents(self):
+        assert parse_prime_exponents("") == {}
+        assert parse_prime_exponents("2=1,3=-4,7=0") == {2: 1, 3: -4, 7: 0}
+
+    @pytest.mark.parametrize(
+        "text,position,message",
+        [
+            ("2", 0, "expected p=e"),
+            ("2=1,x=1", 4, "integer prime"),
+            ("2=1,3=x", 6, "integer exponent"),
+            ("9=1", 0, "9 is not prime"),
+            ("2=1,3=1,2=0", 8, "prime 2 assigned twice"),
+        ],
+    )
+    def test_prime_exponent_errors(self, text, position, message):
+        with pytest.raises(ColoringSpecError, match=message) as exc:
+            parse_prime_exponents(text)
+        assert (exc.value.spec, exc.value.position) == (text, position)
+        with pytest.raises(ColoringSpecError) as exc:
+            parse_coloring_spec(f"unity:5:{text}")
+        assert exc.value.position == position + len("unity:5:")
 
     def test_explicit_missing_file(self, tmp_path):
         with pytest.raises(ColoringSpecError):

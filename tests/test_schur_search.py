@@ -1,15 +1,20 @@
+import json
 import random
+import re
 import time
 from itertools import product as iproduct
 
 import pytest
 
+from schurdiv.cli import main
 from schurdiv.schur_search import (
     BudgetExhausted,
+    CacheError,
     ForbiddenTriple,
     exists_valid_coloring,
     forbidden_triples,
     load_search_cache,
+    save_search_cache,
     schur_number,
     validate_coloring,
 )
@@ -231,6 +236,88 @@ class TestCache:
         schur_number(2, restricted=True, cache_path=path)
         unrestricted = schur_number(2, restricted=False, cache_path=path)
         assert (unrestricted.W, unrestricted.S) == (4, 5)
+
+
+def _write_cache(path, *entries):
+    path.write_text(json.dumps({"version": 1, "entries": [
+        {"l": l, "restricted": False, "n": n, "coloring": coloring, "status": status}
+        for l, n, coloring, status in entries
+    ]}))
+    return str(path)
+
+
+class TestCacheEvidence:
+    """Cached entries are re-checked before a search trusts them."""
+
+    W4 = [0, 1, 1, 0]  # the first witness of W(2) = 4
+
+    def test_valid_entries_are_used(self, tmp_path):
+        path = _write_cache(tmp_path / "c.json", (2, 4, self.W4, "valid"), (2, 5, None, "refuted"))
+        result = schur_number(2, cache_path=path)
+        assert (result.status, result.W, result.S, result.stats.nodes) == ("exact", 4, 5, 0)
+        assert result.witness_coloring == self.W4
+
+    @pytest.mark.parametrize(
+        "coloring, fault",
+        [
+            ([0, 1, 1], "does not have length 4"),
+            ([0, 1, 2, 0], "colors outside 0..1"),
+            ([0, 1, True, 0], "colors outside 0..1"),
+            (None, "does not have length 4"),
+            ([0, 0, 1, 1], "1 + 1 = 2 monochromatic"),
+        ],
+    )
+    def test_bad_witness_rejected(self, tmp_path, coloring, fault):
+        path = _write_cache(tmp_path / "c.json", (3, 2, [0, 1], "valid"), (2, 4, coloring, "valid"))
+        with pytest.raises(CacheError, match=f"entry 1 .*{re.escape(fault)}"):
+            schur_number(2, cache_path=path)
+
+    def test_bad_n_rejected(self, tmp_path):
+        path = _write_cache(tmp_path / "c.json", (2, "4", None, "refuted"))
+        with pytest.raises(CacheError, match="entry 0 .*not a positive integer"):
+            schur_number(2, cache_path=path)
+
+    @pytest.mark.parametrize("refuted_n", [3, 4])
+    def test_contradicting_refutation_rejected(self, tmp_path, refuted_n):
+        path = _write_cache(tmp_path / "c.json", (2, 4, self.W4, "valid"), (2, refuted_n, None, "refuted"))
+        with pytest.raises(CacheError, match=f"entry 1 .*n={refuted_n}, refuted.*witness at n=4"):
+            schur_number(2, cache_path=path)
+
+    def test_other_color_counts_are_not_checked_against(self, tmp_path):
+        path = _write_cache(tmp_path / "c.json", (2, 4, self.W4, "valid"), (1, 2, None, "refuted"))
+        assert schur_number(1, cache_path=path).S == 2
+
+    def test_cli_exits_one_naming_the_entry(self, tmp_path, capsys):
+        path = _write_cache(tmp_path / "c.json", (2, 4, [0, 0, 0, 0], "valid"))
+        assert main(["schur", "--colors", "2", "--cache", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "entry 0 (2 colors, n=4, valid)" in captured.err
+        assert main(["schur", "--colors", "2", "--cache",
+                     _write_cache(tmp_path / "d.json", (2, 4, self.W4, "valid"),
+                                  (2, 2, None, "refuted"))]) == 1
+        assert "contradicts the cached witness at n=4" in capsys.readouterr().err
+
+    def test_save_leaves_a_strangers_tmp_file(self, tmp_path):
+        path = tmp_path / "c.json"
+        stranger = tmp_path / "c.json.tmp"
+        stranger.write_text("another writer's half-written cache")
+        save_search_cache(str(path), {"version": 1, "entries": []})
+        assert stranger.read_text() == "another writer's half-written cache"
+        assert load_search_cache(str(path))["entries"] == []
+
+    def test_save_leaves_no_tmp_file(self, tmp_path):
+        path = str(tmp_path / "c.json")
+        schur_number(2, cache_path=path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    def test_failed_save_leaves_no_tmp_file(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("old")
+        with pytest.raises(TypeError):
+            save_search_cache(str(path), {"version": 1, "entries": [object()]})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+        assert path.read_text() == "old"
 
 
 class TestValidateColoring:

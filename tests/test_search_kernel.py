@@ -6,6 +6,7 @@ same budget cut, the same prefix lists and the same seeded subtrees,
 because the branching order and the pruning are unchanged.
 """
 
+import concurrent.futures
 from concurrent.futures import ProcessPoolExecutor
 from itertools import product as iproduct
 
@@ -156,7 +157,7 @@ class TestParallelNodes:
                 built.append(kwargs)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(schur_search, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         seq = schur_number(3)
         par = schur_number(3, threads=2, split_depth=4)
         assert built == [{"max_workers": 2}]
