@@ -193,7 +193,7 @@ def _cmd_witness(args) -> int:
 def _cmd_ramsey(args) -> int:
     info = r3_value_or_bound(args.colors)
     out = _provenance(args, ["colors"])
-    out.update(colors=info.colors, vertices=info.vertices, exact=info.exact)
+    out.update(info._asdict())
     _emit(out)
     return 0
 
@@ -243,15 +243,7 @@ def _cmd_residues(args) -> int:
     out = _provenance(args, ["k", "m", "pmin", "pmax", "format", "threads"])
     out.update(
         reports=[{"p": rep.p, "r": rep.r, "exceptional": rep.exceptional} for rep in reports],
-        summary={
-            "k": estimate.k,
-            "m": estimate.m,
-            "p_min": estimate.p_min,
-            "p_max": estimate.p_max,
-            "max_r": estimate.max_r,
-            "argmax_p": estimate.argmax_p,
-            "exceptional": list(estimate.exceptional),
-        },
+        summary=estimate._asdict(),
     )
     _emit(out)
     return 0

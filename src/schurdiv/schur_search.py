@@ -28,8 +28,10 @@ budget runs in one process, where the budget is polled exactly.
 `concurrent.futures` is imported by `_process_pool` on the first
 threaded call, so a single-process run never loads multiprocessing.
 
-The cache is evidence, not trusted: every witness read back is
-revalidated, and a refutation at or below a witnessed n is rejected
+The cache is keyed by the whole problem (l, restricted, allow_equal)
+and keeps per key only what decides it: the largest witness and the
+least refutation.  It is evidence, not trusted: every witness read back
+is revalidated, and a refutation at or below a witnessed n is rejected
 with `CacheError`.
 """
 
@@ -332,25 +334,21 @@ def schur_number(
     """Largest W with a valid coloring of {1..W}; exact S = W + 1 only when
     {1..W+1} was refuted.  Budgets or max_n produce status="lower_bound".
 
-    With a cache path, previously proven witnesses and refutations for the
-    same (l, restricted) pair are reused and new ones recorded.  Cached
-    entries assume the default triple convention, so a non-default
-    allow_equal bypasses the cache.  A cached witness that does not
-    revalidate, or a refutation contradicted by one, raises CacheError.
+    With a cache path, the search resumes from the largest witness and the
+    least refutation cached for (l, restricted, allow_equal), once every
+    witness of that key revalidates (else CacheError).  It then leaves just
+    those two, cached or new, as the key's entries: a witness for {1..n}
+    covers every smaller n, a refutation of n every larger one.
     """
+    if l < 1:
+        raise ValueError(f"color count must be >= 1, got {l}")
     start = time.perf_counter()
     deadline = None if max_seconds is None else start + max_seconds
     nodes_total = 0
 
-    cache = None
-    use_cache = cache_path is not None and allow_equal
-    if use_cache:
-        cache = load_search_cache(cache_path)
-
-    W, witness = 0, []
-    refuted_at: int | None = None
-    if cache is not None:
-        W, witness, refuted_at = _cache_best(cache, cache_path, l, restricted)
+    key = (l, bool(restricted), bool(allow_equal))
+    cache = None if cache_path is None else load_search_cache(cache_path)
+    W, witness, refuted_at = (0, [], None) if cache is None else _cache_best(cache, cache_path, key)
 
     status = "lower_bound"
     n = W + 1
@@ -374,16 +372,18 @@ def schur_number(
                 nodes_total += exc.nodes
                 break
             if found is None:
-                status = "exact"
-                if cache is not None:
-                    _cache_record(cache, l, restricted, n, None, "refuted")
+                status, refuted_at = "exact", n
                 break
             W, witness = n, found
-            if cache is not None:
-                _cache_record(cache, l, restricted, n, found, "valid")
             n += 1
 
-    if use_cache:
+    if cache is not None:
+        # Keep a cached entry, and its timestamp, where it is still the best.
+        old = {(e["n"], e.get("status")): e for e in cache["entries"] if _entry_key(e) == key}
+        cache["entries"] = [e for e in cache["entries"] if _entry_key(e) != key] + [
+            old.get((at, verdict)) or _cache_entry(key, at, coloring, verdict)
+            for at, coloring, verdict in ((W, witness, "valid"), (refuted_at, None, "refuted")) if at
+        ]
         save_search_cache(cache_path, cache)
     wall = time.perf_counter() - start
     return SearchResult(
@@ -400,15 +400,25 @@ def schur_number(
 # --- persistent cache -------------------------------------------------------
 
 def load_search_cache(path: str) -> dict:
-    """Versioned JSON cache; a missing file is an empty cache."""
+    """Versioned JSON cache; a missing file is an empty cache.  A file that
+    is not a JSON object of the right version raises ValueError, an entry
+    that is not an object CacheError."""
     if not os.path.exists(path):
         return {"version": CACHE_VERSION, "entries": []}
-    with open(path, "r", encoding="utf-8") as fh:
-        cache = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cache = json.load(fh)
+    except ValueError as exc:
+        raise ValueError(f"cache {path} is not valid JSON: {exc}") from None
+    if not isinstance(cache, dict):
+        raise ValueError(f"cache {path} is not a JSON object")
     if cache.get("version") != CACHE_VERSION:
         raise ValueError(f"cache {path} has version {cache.get('version')}, expected {CACHE_VERSION}")
     if not isinstance(cache.get("entries"), list):
         raise ValueError(f"cache {path} is missing its entries list")
+    for index, entry in enumerate(cache["entries"]):
+        if not isinstance(entry, dict):
+            raise CacheError(f"cache {path}: entry {index} is not an object")
     return cache
 
 
@@ -428,66 +438,53 @@ def save_search_cache(path: str, cache: dict) -> None:
         raise
 
 
-def _cache_best(
-    cache: dict, path: str, l: int, restricted: bool
-) -> tuple[int, list[int], int | None]:
-    """The largest cached witness and the least cached refutation for
-    (l, restricted).  Raises CacheError, naming the entry, for a witness
-    that does not revalidate or a refutation at or below a witnessed n."""
+def _entry_key(entry: dict) -> tuple:
+    """(l, restricted, allow_equal); entries without allow_equal predate it
+    and were written for the default convention."""
+    return entry.get("l"), bool(entry.get("restricted")), bool(entry.get("allow_equal", True))
+
+
+def _cache_best(cache: dict, path: str, key: tuple) -> tuple[int, list[int], int | None]:
+    """The largest cached witness and the least cached refutation for `key`.
+    Raises CacheError, naming the entry, for a witness that does not
+    revalidate or a refutation at or below a witnessed n."""
     best_n, best_coloring = 0, []
-    refuted: int | None = None
-    refuted_index = None
+    refuted = refuted_index = None
     for index, entry in enumerate(cache["entries"]):
-        if entry.get("l") != l or bool(entry.get("restricted")) != restricted:
+        if _entry_key(entry) != key:
             continue
         n, status = entry.get("n"), entry.get("status")
         fault = None
         if type(n) is not int or n < 1:
             fault = "n is not a positive integer"
         elif status == "valid":
-            fault = _witness_fault(entry.get("coloring"), n, l, restricted)
+            fault = _witness_fault(entry.get("coloring"), n, *key)
         if fault is not None:
-            raise CacheError(f"cache {path}: entry {index} ({l} colors, n={n!r}, {status}): {fault}")
+            raise CacheError(f"cache {path}: entry {index} ({key[0]} colors, n={n!r}, {status}): {fault}")
         if status == "valid" and n > best_n:
             best_n, best_coloring = n, list(entry["coloring"])
         if status == "refuted" and (refuted is None or n < refuted):
             refuted, refuted_index = n, index
     if refuted is not None and refuted <= best_n:
         raise CacheError(
-            f"cache {path}: entry {refuted_index} ({l} colors, n={refuted}, refuted) "
+            f"cache {path}: entry {refuted_index} ({key[0]} colors, n={refuted}, refuted) "
             f"contradicts the cached witness at n={best_n}"
         )
     return best_n, best_coloring, refuted
 
 
-def _witness_fault(coloring, n: int, l: int, restricted: bool) -> str | None:
+def _witness_fault(coloring, n: int, l: int, restricted: bool, allow_equal: bool) -> str | None:
     if not isinstance(coloring, list) or len(coloring) != n:
         return f"the coloring does not have length {n}"
     if not all(type(c) is int and 0 <= c < l for c in coloring):
         return f"the coloring uses colors outside 0..{l - 1}"
-    hits = validate_coloring(coloring, restricted)
+    hits = validate_coloring(coloring, restricted, allow_equal)
     if hits:
         x, y, z, _ = hits[0]
         return f"the coloring makes {x} + {y} = {z} monochromatic"
     return None
 
 
-def _cache_record(cache: dict, l: int, restricted: bool, n: int, coloring, status: str) -> None:
-    for entry in cache["entries"]:
-        if (
-            entry.get("l") == l
-            and bool(entry.get("restricted")) == restricted
-            and entry.get("n") == n
-            and entry.get("status") == status
-        ):
-            return
-    cache["entries"].append(
-        {
-            "l": l,
-            "restricted": restricted,
-            "n": n,
-            "coloring": list(coloring) if coloring is not None else None,
-            "status": status,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        }
-    )
+def _cache_entry(key: tuple, n: int, coloring: list[int] | None, status: str) -> dict:
+    return dict(zip(("l", "restricted", "allow_equal"), key), n=n, coloring=coloring, status=status,
+                timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))

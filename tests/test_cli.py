@@ -128,6 +128,16 @@ class TestRamsey:
         report = run_json(capsys, "ramsey", "--colors", "4")
         assert (report["vertices"], report["exact"]) == (66, False)
 
+    def test_report_bytes(self, capsys):
+        # Recorded when the fields were copied one by one; the report is now
+        # built from the record and must not change.
+        code, out, _ = run(capsys, "ramsey", "--colors", "4")
+        assert code == 0
+        assert out == (
+            '{"colors":4,"exact":false,"parameters":{"colors":4,"seed":20240901},'
+            '"subcommand":"ramsey","tool_version":"0.1.0","vertices":66}\n'
+        )
+
 
 class TestSchur:
     def test_restricted_two_colors(self, capsys):
@@ -162,6 +172,12 @@ class TestSchur:
         )
         assert report["status"] == "lower_bound"
         assert report["S"] is None
+
+    @pytest.mark.parametrize("colors", ["0", "-1"])
+    def test_color_count_below_one_usage_error(self, capsys, colors):
+        code, out, err = run(capsys, "schur", "--colors", colors)
+        assert (code, out) == (2, "")
+        assert f"color count must be >= 1, got {colors}" in err
 
 
 class TestResidues:
@@ -208,6 +224,15 @@ class TestResidues:
         assert report["summary"]["argmax_p"] == 43
         assert report["summary"]["exceptional"] == [2, 3, 5]
         assert {"p": 43, "r": 9, "exceptional": False} in report["reports"]
+
+    def test_json_summary_bytes(self, capsys):
+        # Recorded when the summary fields were copied one by one.
+        code, out, _ = run(capsys, "residues", "--k", "3", "--m", "2", "--pmin", "2", "--pmax", "30")
+        assert code == 0
+        assert out.endswith(
+            '"subcommand":"residues","summary":{"argmax_p":19,"exceptional":[2,7,13],"k":3,"m":2,'
+            '"max_r":7,"p_max":30,"p_min":2},"tool_version":"0.1.0"}\n'
+        )
 
     def test_bad_range_usage_error(self, capsys):
         code, _, err = run(

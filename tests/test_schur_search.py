@@ -3,6 +3,7 @@ import random
 import re
 import time
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 
@@ -318,6 +319,145 @@ class TestCacheEvidence:
             save_search_cache(str(path), {"version": 1, "entries": [object()]})
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
         assert path.read_text() == "old"
+
+
+def _entries(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))["entries"]
+
+
+class TestCacheKeys:
+    """Entries are keyed by (l, restricted, allow_equal), and a save keeps
+    per key only the largest witness and the least refutation."""
+
+    W4 = TestCacheEvidence.W4
+
+    def test_weak_convention_round_trips(self, tmp_path):
+        path = str(tmp_path / "c.json")
+        first = schur_number(2, allow_equal=False, cache_path=path)
+        assert (first.status, first.W, first.S, first.stats.nodes) == ("exact", 8, 9, 62)
+        again = schur_number(2, allow_equal=False, cache_path=path)
+        assert (again.status, again.W, again.S, again.stats.nodes) == ("exact", 8, 9, 0)
+        assert again.witness_coloring == first.witness_coloring
+        # the weak entries do not serve the default convention
+        default = schur_number(2, cache_path=path)
+        assert (default.W, default.S) == (4, 5)
+        assert default.stats.nodes == schur_number(2).stats.nodes > 0
+        assert schur_number(2, cache_path=path).stats.nodes == 0
+        assert schur_number(2, allow_equal=False, cache_path=path).stats.nodes == 0
+
+    def test_default_entries_never_serve_the_weak_convention(self, tmp_path):
+        path = _write_cache(tmp_path / "c.json", (2, 4, self.W4, "valid"), (2, 5, None, "refuted"))
+        weak = schur_number(2, allow_equal=False, cache_path=path)
+        assert (weak.W, weak.S, weak.stats.nodes) == (8, 9, 62)
+
+    def test_entries_without_the_field_serve_the_default(self, tmp_path):
+        path = _write_cache(tmp_path / "c.json", (2, 4, self.W4, "valid"), (2, 5, None, "refuted"))
+        assert all("allow_equal" not in entry for entry in _entries(path))
+        result = schur_number(2, allow_equal=True, cache_path=path)
+        assert (result.status, result.W, result.S, result.stats.nodes) == ("exact", 4, 5, 0)
+        assert result.witness_coloring == self.W4
+
+    def test_save_keeps_one_witness_and_one_refutation_per_key(self, tmp_path):
+        path = str(tmp_path / "c.json")
+        stranger = {"l": 7, "restricted": False, "n": 3, "coloring": "unchecked", "status": "odd"}
+        save_search_cache(path, {"version": 1, "entries": [stranger]})
+        schur_number(2, restricted=True, max_n=5, cache_path=path)
+        schur_number(2, restricted=True, cache_path=path)
+        schur_number(2, allow_equal=False, cache_path=path)
+        schur_number(2, allow_equal=False, cache_path=path)
+        entries = _entries(path)
+        assert entries[0] == stranger
+        keyed = sorted((e["restricted"], e["allow_equal"], e["n"], e["status"]) for e in entries[1:])
+        assert keyed == [(False, False, 8, "valid"), (False, False, 9, "refuted"),
+                         (True, True, 11, "valid"), (True, True, 12, "refuted")]
+        for entry in entries[1:]:
+            if entry["status"] == "valid":
+                assert validate_coloring(entry["coloring"], entry["restricted"], entry["allow_equal"]) == []
+
+    def test_cached_best_entry_is_kept_as_it_was(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"version": 1, "entries": [
+            {"l": 2, "restricted": False, "n": 3, "coloring": [0, 1, 1], "status": "valid"},
+            {"l": 2, "restricted": False, "n": 4, "coloring": self.W4, "status": "valid",
+             "timestamp": "2000-01-01T00:00:00Z"},
+        ]}))
+        assert schur_number(2, cache_path=str(path)).S == 5
+        valid, refuted = _entries(str(path))
+        assert valid == {"l": 2, "restricted": False, "n": 4, "coloring": self.W4,
+                         "status": "valid", "timestamp": "2000-01-01T00:00:00Z"}
+        assert (refuted["n"], refuted["status"], refuted["allow_equal"]) == (5, "refuted", True)
+
+    def _legacy_cache(self, tmp_path):
+        """One witness per n = 1..111, as a per-n cache for W'(3) held them."""
+        witness = schur_number(3, restricted=True, max_n=111).witness_coloring
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps({"version": 1, "entries": [
+            {"l": 3, "restricted": True, "n": n, "coloring": witness[:n], "status": "valid",
+             "timestamp": "2000-01-01T00:00:00Z"}
+            for n in range(1, 112)
+        ]}))
+        return path, witness
+
+    def test_legacy_per_n_cache_is_compacted(self, tmp_path):
+        path, witness = self._legacy_cache(tmp_path)
+        result = schur_number(3, restricted=True, max_n=111, cache_path=str(path))
+        assert (result.status, result.W, result.stats.nodes) == ("lower_bound", 111, 0)
+        assert result.witness_coloring == witness
+        assert [(e["n"], e["status"]) for e in _entries(str(path))] == [(111, "valid")]
+        again = schur_number(3, restricted=True, max_n=111, cache_path=str(path))
+        assert (again.W, again.stats.nodes, again.witness_coloring) == (111, 0, witness)
+
+    def test_legacy_per_n_cache_is_checked(self, tmp_path):
+        path, witness = self._legacy_cache(tmp_path)
+        cache = json.loads(path.read_text())
+        cache["entries"][49]["coloring"][1] = 0  # 1 + 1 = 2 in colour 0
+        path.write_text(json.dumps(cache))
+        with pytest.raises(CacheError, match="entry 49 .*n=50, valid.*1 \\+ 1 = 2"):
+            schur_number(3, restricted=True, max_n=111, cache_path=str(path))
+
+    def test_witness_checked_under_its_own_convention(self, tmp_path):
+        # [0, 0] colours 1 + 1 = 2 alike: fine without x = y, not with it.
+        weak = {"l": 1, "restricted": False, "allow_equal": False, "n": 2, "coloring": [0, 0],
+                "status": "valid"}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"version": 1, "entries": [weak]}))
+        result = schur_number(1, allow_equal=False, cache_path=str(path))
+        assert (result.W, result.S) == (2, 3)
+        assert result.stats.nodes < schur_number(1, allow_equal=False).stats.nodes  # searched n = 3 only
+        for entry in ({**weak, "allow_equal": True}, {k: v for k, v in weak.items() if k != "allow_equal"}):
+            path.write_text(json.dumps({"version": 1, "entries": [entry]}))
+            with pytest.raises(CacheError, match="entry 0 .*1 \\+ 1 = 2 monochromatic"):
+                schur_number(1, cache_path=str(path))
+        path.write_text(json.dumps({"version": 1, "entries": [{**weak, "n": 3, "coloring": [0, 0, 0]}]}))
+        with pytest.raises(CacheError, match="entry 0 .*1 \\+ 2 = 3 monochromatic"):
+            schur_number(1, allow_equal=False, cache_path=str(path))
+
+
+class TestMalformedCache:
+    def test_entry_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('{"version": 1, "entries": [{"l": 9, "n": 1, "status": "refuted"}, 1]}')
+        with pytest.raises(CacheError, match=f"cache {re.escape(str(path))}: entry 1 is not an object"):
+            schur_number(2, cache_path=str(path))
+        assert main(["schur", "--colors", "2", "--cache", str(path)]) == 1
+        assert "entry 1 is not an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, fault", [
+        ("[1]", "is not a JSON object"),
+        ('"cache"', "is not a JSON object"),
+        ("", "is not valid JSON"),
+        ('{"version": 1, "entries": [', "is not valid JSON"),
+    ])
+    def test_file_not_an_object(self, tmp_path, capsys, text, fault):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"cache {re.escape(str(path))} {fault}"):
+            load_search_cache(str(path))
+        assert main(["schur", "--colors", "2", "--cache", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cache {path} {fault}" in captured.err
+        assert path.read_text() == text
 
 
 class TestValidateColoring:
