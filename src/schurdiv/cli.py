@@ -40,10 +40,10 @@ import sys
 from . import __version__
 from .coloring import ColoringSpecError, parse_coloring_spec, parse_prime_exponents
 from .multiplicative import UnityFunction, min_consecutive_ones, verify_consecutive_ones_bound
-# is_prime stays a module attribute: bench/trace_cli.py wraps cli.is_prime.
+# is_prime and scan_primes stay module attributes: bench/trace_cli.py wraps them.
 from .primes import FactorizationBudgetError, is_prime  # noqa: F401
 from .ramsey import direct_schur_div_search, r3_value_or_bound, witness_via_ramsey
-from .residues import scan_primes, summarize_reports
+from .residues import _scan_rows, scan_primes, summarize_reports  # noqa: F401
 from .schur_search import schur_number
 from .sequences import (
     DEFAULT_DIGIT_BUDGET,
@@ -228,24 +228,26 @@ def _cmd_schur(args) -> int:
 def _cmd_residues(args) -> int:
     if not 2 <= args.pmin <= args.pmax:
         raise UsageError(f"--pmin/--pmax must satisfy 2 <= pmin <= pmax, got {args.pmin}..{args.pmax}")
-    reports = scan_primes(args.k, args.m, args.pmin, args.pmax, threads=args.threads)
-    estimate = summarize_reports(args.k, args.m, args.pmin, args.pmax, reports)
+    rows = _scan_rows(args.k, args.m, args.pmin, args.pmax, threads=args.threads)
+    estimate = summarize_reports(args.k, args.m, args.pmin, args.pmax, rows)
+    # Rows go out straight from (p, r), byte for byte as from the records.
     if args.format == "csv":
+        km = f"{args.k},{args.m}"
         lines = ["p,k,m,r,exceptional"]
-        for rep in reports:
-            r_field = "" if rep.r is None else str(rep.r)
-            lines.append(f"{rep.p},{rep.k},{rep.m},{r_field},{'true' if rep.exceptional else 'false'}")
-        max_field = "" if estimate.max_r is None else str(estimate.max_r)
-        arg_field = "" if estimate.argmax_p is None else str(estimate.argmax_p)
-        lines.append(f"max_r={max_field},argmax_p={arg_field}")
+        lines += [f"{p},{km},,true" if r is None else f"{p},{km},{r},false" for p, r in rows]
+        lines.append(f"max_r={estimate.max_r or ''},argmax_p={estimate.argmax_p or ''}")  # None or >= 1
         sys.stdout.write("\n".join(lines) + "\n")
         return 0
     out = _provenance(args, ["k", "m", "pmin", "pmax", "format", "threads"])
-    out.update(
-        reports=[{"p": rep.p, "r": rep.r, "exceptional": rep.exceptional} for rep in reports],
-        summary=estimate._asdict(),
+    out.update(reports=[], summary=estimate._asdict())
+    reports = ",".join(
+        f'{{"exceptional":true,"p":{p},"r":null}}' if r is None
+        else f'{{"exceptional":false,"p":{p},"r":{r}}}'
+        for p, r in rows
     )
-    _emit(out)
+    # The first '"reports":[]' is the key: parameters hold ints and a format name.
+    text = json.dumps(out, sort_keys=True, separators=(",", ":"))
+    sys.stdout.write(text.replace('"reports":[]', f'"reports":[{reports}]', 1) + "\n")
     return 0
 
 

@@ -32,14 +32,7 @@ class FactorizationBudgetError(ValueError):
 
 def sieve(limit: int) -> list[int]:
     """All primes <= limit, ascending."""
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return list(compress(range(limit + 1), flags))
+    return primes_in_range(2, limit)
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:

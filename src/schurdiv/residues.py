@@ -15,9 +15,12 @@ table built on first use.  Only prime r (and r past the table) pay a
 running maximum of those run starts — a range-limited empirical view of
 a quantity whose true supremum ranges over all non-exceptional primes.
 Scans take their primes from the sieve and validate k and m once, so the
-kernel never re-proves primality.  A threaded scan imports
-`concurrent.futures` when it builds its pool, so importing this module
-loads no multiprocessing machinery.
+kernel never re-proves primality.  A scan stays a list of plain (p, r)
+rows from the kernel to its consumer: `summarize_reports` and the CLI
+read rows, and `ResidueReport` records are built only for library
+callers of `scan_primes`.  A threaded scan imports `concurrent.futures`
+when it builds its pool, so importing this module loads no
+multiprocessing machinery.
 
 `consecutive_pair_via_triple` is the constructive route to a consecutive
 residue pair: color {1..bound} by cosets of the k-th powers, find a
@@ -148,58 +151,50 @@ def _scan_block(args: tuple[int, int, int, int]) -> list[tuple[int, int | None]]
     return [(p, _run_start(p, k, m)) for p in primes_in_range(lo, hi)]
 
 
-def scan_primes(k: int, m: int, p_min: int, p_max: int, threads: int = 1) -> list[ResidueReport]:
-    """One report per prime in [p_min, p_max], ascending regardless of threads."""
+def _scan_rows(k: int, m: int, p_min: int, p_max: int, threads: int = 1) -> list[tuple[int, int | None]]:
+    """`scan_primes` as plain (p, r) rows, ascending regardless of threads."""
     if not 2 <= p_min <= p_max:
         raise ValueError(f"need 2 <= p_min <= p_max, got {p_min}..{p_max}")
     _check_power_and_run(k, m)
     if threads <= 1:
-        rows = _scan_block((k, m, p_min, p_max))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+        return _scan_block((k, m, p_min, p_max))
+    from concurrent.futures import ProcessPoolExecutor
 
-        span = p_max - p_min + 1
-        width = max(1024, span // (threads * 8) + 1)
-        blocks = [
-            (k, m, lo, min(lo + width - 1, p_max))
-            for lo in range(p_min, p_max + 1, width)
-        ]
-        rows = []
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for block_rows in pool.map(_scan_block, blocks):
-                rows.extend(block_rows)
-    return [ResidueReport(p=p, k=k, m=m, r=r) for p, r in rows]
+    span = p_max - p_min + 1
+    width = max(1024, span // (threads * 8) + 1)
+    blocks = [(k, m, lo, min(lo + width - 1, p_max)) for lo in range(p_min, p_max + 1, width)]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return [row for block_rows in pool.map(_scan_block, blocks) for row in block_rows]
+
+
+def scan_primes(k: int, m: int, p_min: int, p_max: int, threads: int = 1) -> list[ResidueReport]:
+    """One report per prime in [p_min, p_max], ascending regardless of threads."""
+    return [ResidueReport(p, k, m, r) for p, r in _scan_rows(k, m, p_min, p_max, threads)]
 
 
 def lambda_estimate(k: int, m: int, p_min: int, p_max: int, threads: int = 1) -> LambdaEstimate:
     """Aggregate a prime scan: running max of run starts plus exceptional set."""
-    reports = scan_primes(k, m, p_min, p_max, threads=threads)
-    return summarize_reports(k, m, p_min, p_max, reports)
+    return summarize_reports(k, m, p_min, p_max, _scan_rows(k, m, p_min, p_max, threads))
 
 
 def summarize_reports(
-    k: int, m: int, p_min: int, p_max: int, reports: list[ResidueReport]
+    k: int, m: int, p_min: int, p_max: int, rows: list[tuple[int, int | None]]
 ) -> LambdaEstimate:
+    """Summarise ascending (p, r) rows: the largest r at its least p, and the p with r None."""
     max_r: int | None = None
     argmax_p: int | None = None
     exceptional = []
-    for rep in reports:
-        if rep.r is None:
-            exceptional.append(rep.p)
-        elif max_r is None or rep.r > max_r:
-            max_r, argmax_p = rep.r, rep.p
-    return LambdaEstimate(
-        k=k, m=m, p_min=p_min, p_max=p_max,
-        max_r=max_r, argmax_p=argmax_p, exceptional=tuple(exceptional),
-    )
+    for p, r in rows:
+        if r is None:
+            exceptional.append(p)
+        elif max_r is None or r > max_r:
+            max_r, argmax_p = r, p
+    return LambdaEstimate(k, m, p_min, p_max, max_r, argmax_p, tuple(exceptional))
 
 
 def exceptional_primes(k: int, m: int, p_max: int) -> list[int]:
     """Primes p <= p_max admitting no run of m consecutive k-th power residues."""
-    if p_max < 2:
-        raise ValueError(f"p_max must be >= 2, got {p_max}")
-    _check_power_and_run(k, m)
-    return [p for p in primes_in_range(2, p_max) if _run_start(p, k, m) is None]
+    return [p for p, r in _scan_rows(k, m, 2, p_max) if r is None]
 
 
 class ConsecutivePair(NamedTuple):

@@ -30,9 +30,10 @@ threaded call, so a single-process run never loads multiprocessing.
 
 The cache is keyed by the whole problem (l, restricted, allow_equal)
 and keeps per key only what decides it: the largest witness and the
-least refutation.  It is evidence, not trusted: every witness read back
-is revalidated, and a refutation at or below a witnessed n is rejected
-with `CacheError`.
+least refutation.  A save re-reads the file, so runs sharing it keep
+each other's entries.  It is evidence, not trusted: every witness read
+back is revalidated, and a refutation at or below a witnessed n is
+rejected with `CacheError`.
 """
 
 from __future__ import annotations
@@ -378,13 +379,7 @@ def schur_number(
             n += 1
 
     if cache is not None:
-        # Keep a cached entry, and its timestamp, where it is still the best.
-        old = {(e["n"], e.get("status")): e for e in cache["entries"] if _entry_key(e) == key}
-        cache["entries"] = [e for e in cache["entries"] if _entry_key(e) != key] + [
-            old.get((at, verdict)) or _cache_entry(key, at, coloring, verdict)
-            for at, coloring, verdict in ((W, witness, "valid"), (refuted_at, None, "refuted")) if at
-        ]
-        save_search_cache(cache_path, cache)
+        _merge_into_cache(cache_path, key, W, witness, refuted_at)
     wall = time.perf_counter() - start
     return SearchResult(
         colors=l,
@@ -438,18 +433,32 @@ def save_search_cache(path: str, cache: dict) -> None:
         raise
 
 
+def _merge_into_cache(path: str, key: tuple, W: int, witness: list[int], refuted_at: int | None) -> None:
+    """Save a run's evidence for `key` into the cache file as it is now: entries other runs saved
+    survive, and the key keeps the best witness and refutation of both, revalidated."""
+    cache = load_search_cache(path)
+    W, witness, refuted_at = _cache_best(cache, path, key, (W, witness, refuted_at))
+    # Keep a cached entry, and its timestamp, where it is still the best.
+    old = {(e["n"], e.get("status")): e for e in cache["entries"] if _entry_key(e) == key}
+    cache["entries"] = [e for e in cache["entries"] if _entry_key(e) != key] + [
+        old.get((at, verdict)) or _cache_entry(key, at, coloring, verdict)
+        for at, coloring, verdict in ((W, witness, "valid"), (refuted_at, None, "refuted")) if at
+    ]
+    save_search_cache(path, cache)
+
+
 def _entry_key(entry: dict) -> tuple:
     """(l, restricted, allow_equal); entries without allow_equal predate it
     and were written for the default convention."""
     return entry.get("l"), bool(entry.get("restricted")), bool(entry.get("allow_equal", True))
 
 
-def _cache_best(cache: dict, path: str, key: tuple) -> tuple[int, list[int], int | None]:
-    """The largest cached witness and the least cached refutation for `key`.
-    Raises CacheError, naming the entry, for a witness that does not
-    revalidate or a refutation at or below a witnessed n."""
-    best_n, best_coloring = 0, []
-    refuted = refuted_index = None
+def _cache_best(cache: dict, path: str, key: tuple, run=(0, [], None)) -> tuple[int, list[int], int | None]:
+    """The largest witness and the least refutation for `key`, cached or
+    found by the run.  Raises CacheError, naming the entry, for a witness
+    that does not revalidate or a refutation at or below a witnessed n."""
+    best_n, best_coloring, refuted = run
+    refuted_index = None
     for index, entry in enumerate(cache["entries"]):
         if _entry_key(entry) != key:
             continue
@@ -466,8 +475,9 @@ def _cache_best(cache: dict, path: str, key: tuple) -> tuple[int, list[int], int
         if status == "refuted" and (refuted is None or n < refuted):
             refuted, refuted_index = n, index
     if refuted is not None and refuted <= best_n:
+        where = "the run's refutation" if refuted_index is None else f"entry {refuted_index}"
         raise CacheError(
-            f"cache {path}: entry {refuted_index} ({key[0]} colors, n={refuted}, refuted) "
+            f"cache {path}: {where} ({key[0]} colors, n={refuted}, refuted) "
             f"contradicts the cached witness at n={best_n}"
         )
     return best_n, best_coloring, refuted

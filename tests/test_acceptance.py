@@ -160,7 +160,7 @@ def test_criterion_5_ramsey_constants():
 def test_criterion_6_residue_scan():
     start = time.perf_counter()
     reports = scan_primes(2, 2, 7, 10_000)
-    estimate = summarize_reports(2, 2, 7, 10_000, reports)
+    estimate = summarize_reports(2, 2, 7, 10_000, [(rep.p, rep.r) for rep in reports])
     exc = exceptional_primes(2, 2, 100)
     elapsed = time.perf_counter() - start
     # brute-force oracle per prime (outside the timed window)

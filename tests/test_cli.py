@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from schurdiv.cli import main
+import schurdiv.cli
+from schurdiv import __version__, is_prime, residues, scan_primes
+from schurdiv.cli import DEFAULT_SEED, main
 
 
 def run(capsys, *argv):
@@ -233,6 +235,70 @@ class TestResidues:
             '"subcommand":"residues","summary":{"argmax_p":19,"exceptional":[2,7,13],"k":3,"m":2,'
             '"max_r":7,"p_max":30,"p_min":2},"tool_version":"0.1.0"}\n'
         )
+
+    @staticmethod
+    def record_stdout(k, m, pmin, pmax, fmt, threads):
+        """The report as written from `scan_primes` records and per-row dicts."""
+        reports = scan_primes(k, m, pmin, pmax, threads=threads)
+        max_r = argmax_p = None
+        for rep in reports:
+            if not rep.exceptional and (max_r is None or rep.r > max_r):
+                max_r, argmax_p = rep.r, rep.p
+        if fmt == "csv":
+            lines = ["p,k,m,r,exceptional"] + [
+                f"{rep.p},{rep.k},{rep.m},{'' if rep.r is None else rep.r},"
+                f"{'true' if rep.exceptional else 'false'}"
+                for rep in reports
+            ]
+            lines.append(f"max_r={'' if max_r is None else max_r},"
+                         f"argmax_p={'' if argmax_p is None else argmax_p}")
+            return "\n".join(lines) + "\n"
+        report = {
+            "tool_version": __version__,
+            "subcommand": "residues",
+            "parameters": {"seed": DEFAULT_SEED, "k": k, "m": m, "pmin": pmin, "pmax": pmax,
+                           "format": fmt, "threads": threads},
+            "reports": [{"p": rep.p, "r": rep.r, "exceptional": rep.exceptional} for rep in reports],
+            "summary": {"k": k, "m": m, "p_min": pmin, "p_max": pmax, "max_r": max_r,
+                        "argmax_p": argmax_p,
+                        "exceptional": [rep.p for rep in reports if rep.exceptional]},
+        }
+        return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "k, m, pmin, pmax, threads",
+        [
+            (3, 2, 24, 28, 1),  # no prime in the window
+            (2, 2, 2, 2, 1),  # p = 2 with m = 2 is exceptional
+            (2, 2, 2, 6, 1),  # every prime exceptional
+            (1, 1, 2, 100, 1),
+            (5, 3, 2, 3000, 1),
+            (3, 2, 2, 20_000, 2),
+        ],
+    )
+    def test_rows_written_as_the_records_were(self, capsys, fmt, k, m, pmin, pmax, threads):
+        code, out, _ = run(
+            capsys, "residues", "--k", str(k), "--m", str(m), "--pmin", str(pmin),
+            "--pmax", str(pmax), "--format", fmt, "--threads", str(threads),
+        )
+        assert code == 0
+        assert out == self.record_stdout(k, m, pmin, pmax, fmt, threads)
+
+    def test_traced_names_stay_cli_attributes(self, capsys, monkeypatch):
+        # bench/trace_cli.py wraps these three attributes of schurdiv.cli.
+        assert schurdiv.cli.scan_primes is scan_primes
+        assert schurdiv.cli.is_prime is is_prime
+        assert schurdiv.cli.summarize_reports is residues.summarize_reports
+        calls = []
+
+        def summarize(*args):
+            calls.append(args[:4])
+            return residues.summarize_reports(*args)
+
+        monkeypatch.setattr(schurdiv.cli, "summarize_reports", summarize)
+        run_json(capsys, "residues", "--k", "2", "--m", "2", "--pmin", "7", "--pmax", "50")
+        assert calls == [(2, 2, 7, 50)]
 
     def test_bad_range_usage_error(self, capsys):
         code, _, err = run(

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from schurdiv import schur_search
 from schurdiv.cli import main
 from schurdiv.schur_search import (
     BudgetExhausted,
@@ -431,6 +432,75 @@ class TestCacheKeys:
         path.write_text(json.dumps({"version": 1, "entries": [{**weak, "n": 3, "coloring": [0, 0, 0]}]}))
         with pytest.raises(CacheError, match="entry 0 .*1 \\+ 2 = 3 monochromatic"):
             schur_number(1, allow_equal=False, cache_path=str(path))
+
+
+class TestConcurrentWriters:
+    """A save re-reads the cache file, so evidence that another run saved
+    after this run loaded it survives, and is checked like any other."""
+
+    W4 = TestCacheEvidence.W4
+
+    @staticmethod
+    def _between_load_and_save(monkeypatch, write):
+        """Run `write` once, when the search asks for its first n."""
+        real, done = schur_search._exists, []
+
+        def exists(*args):
+            if not done:
+                done.append(True)
+                write()
+            return real(*args)
+
+        monkeypatch.setattr(schur_search, "_exists", exists)
+
+    def test_other_keys_entries_survive(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "c.json")
+        self._between_load_and_save(monkeypatch, lambda: schur_number(2, restricted=True, cache_path=path))
+        result = schur_number(3, max_n=10, cache_path=path)
+        assert (result.status, result.W) == ("lower_bound", 10)
+        keyed = sorted((e["l"], e["restricted"], e["n"], e["status"]) for e in _entries(path))
+        assert keyed == [(2, True, 11, "valid"), (2, True, 12, "refuted"), (3, False, 10, "valid")]
+        assert schur_number(2, restricted=True, cache_path=path).stats.nodes == 0
+
+    def test_key_keeps_the_best_of_run_and_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "c.json")
+        self._between_load_and_save(monkeypatch, lambda: schur_number(2, cache_path=path))
+        result = schur_number(2, max_n=3, cache_path=path)
+        assert (result.status, result.W) == ("lower_bound", 3)
+        valid, refuted = _entries(path)
+        assert (valid["n"], valid["coloring"], valid["status"]) == (4, self.W4, "valid")
+        assert (refuted["n"], refuted["status"]) == (5, "refuted")
+
+    def test_run_refutation_joins_a_smaller_file_witness(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "c.json")
+        self._between_load_and_save(monkeypatch, lambda: schur_number(2, max_n=2, cache_path=path))
+        assert schur_number(2, cache_path=path).S == 5
+        assert [(e["n"], e["status"]) for e in _entries(path)] == [(4, "valid"), (5, "refuted")]
+
+    def test_witness_written_meanwhile_is_revalidated(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.json"
+        self._between_load_and_save(monkeypatch, lambda: _write_cache(path, (2, 4, [0, 0, 1, 1], "valid")))
+        with pytest.raises(CacheError, match="entry 0 .*1 \\+ 1 = 2 monochromatic"):
+            schur_number(2, max_n=3, cache_path=str(path))
+
+    def test_refutation_written_meanwhile_must_agree(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.json"
+        self._between_load_and_save(monkeypatch, lambda: _write_cache(path, (2, 3, None, "refuted")))
+        with pytest.raises(CacheError, match="entry 0 .*n=3, refuted.*contradicts the cached witness at n=4"):
+            schur_number(2, cache_path=str(path))
+        assert [(e["n"], e["status"]) for e in _entries(path)] == [(3, "refuted")]
+
+    def test_run_refutation_must_agree_with_the_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.json"
+
+        def false_refutation(*args):
+            _write_cache(path, (2, 4, self.W4, "valid"))
+            return None, 0
+
+        monkeypatch.setattr(schur_search, "_exists", false_refutation)
+        with pytest.raises(CacheError, match="the run's refutation .*n=1, refuted.*witness at n=4"):
+            schur_number(2, cache_path=str(path))
+        assert [(e["n"], e["status"]) for e in _entries(path)] == [(4, "valid")]
 
 
 class TestMalformedCache:
