@@ -52,7 +52,6 @@ from .ramsey import (
 from .residues import (
     ConsecutivePair,
     LambdaEstimate,
-    ResidueReport,
     consecutive_pair_via_triple,
     exceptional_primes,
     is_kth_residue,

@@ -40,10 +40,10 @@ import sys
 from . import __version__
 from .coloring import ColoringSpecError, parse_coloring_spec, parse_prime_exponents
 from .multiplicative import UnityFunction, min_consecutive_ones, verify_consecutive_ones_bound
-# is_prime and scan_primes stay module attributes: bench/trace_cli.py wraps them.
+# is_prime stays a module attribute, unused here: bench/trace_cli.py wraps it.
 from .primes import FactorizationBudgetError, is_prime  # noqa: F401
 from .ramsey import direct_schur_div_search, r3_value_or_bound, witness_via_ramsey
-from .residues import _scan_rows, scan_primes, summarize_reports  # noqa: F401
+from .residues import scan_primes, summarize_reports
 from .schur_search import schur_number
 from .sequences import (
     DEFAULT_DIGIT_BUDGET,
@@ -228,9 +228,9 @@ def _cmd_schur(args) -> int:
 def _cmd_residues(args) -> int:
     if not 2 <= args.pmin <= args.pmax:
         raise UsageError(f"--pmin/--pmax must satisfy 2 <= pmin <= pmax, got {args.pmin}..{args.pmax}")
-    rows = _scan_rows(args.k, args.m, args.pmin, args.pmax, threads=args.threads)
+    rows = scan_primes(args.k, args.m, args.pmin, args.pmax, threads=args.threads)
     estimate = summarize_reports(args.k, args.m, args.pmin, args.pmax, rows)
-    # Rows go out straight from (p, r), byte for byte as from the records.
+    # Rows go out straight from (p, r), in the bytes json.dumps gives per-row dicts.
     if args.format == "csv":
         km = f"{args.k},{args.m}"
         lines = ["p,k,m,r,exceptional"]

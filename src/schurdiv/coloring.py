@@ -234,6 +234,8 @@ def parse_coloring_spec(spec: str) -> Coloring:
         if not sep:
             raise ColoringSpecError(spec, body_pos, "expected mod:M:c0,...,c(M-1)")
         m = _spec_int(spec, mod_token, body_pos, "modulus")
+        if m < 1:
+            raise ColoringSpecError(spec, body_pos, "modulus must be >= 1")
         colors_pos = body_pos + len(mod_token) + 1
         entries = colors_token.split(",") if colors_token else []
         if len(entries) != m:
@@ -264,7 +266,7 @@ def parse_coloring_spec(spec: str) -> Coloring:
             raise ColoringSpecError(spec, body_pos, f"cannot read {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ColoringSpecError(spec, body_pos, f"bad JSON in {path}: {exc}") from None
-        if not isinstance(table, list) or not all(isinstance(c, int) for c in table):
+        if not isinstance(table, list) or not all(type(c) is int for c in table):
             raise ColoringSpecError(spec, body_pos, f"{path} must hold a JSON array of integers")
         return ExplicitColoring(table)
     if head == "unity":

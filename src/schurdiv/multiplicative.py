@@ -19,7 +19,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .primes import DEFAULT_FACTOR_BOUND, factorize, is_prime
+from .primes import factorize, is_prime
 
 __all__ = [
     "ConsecutiveOnesWitness",
@@ -60,25 +60,23 @@ class UnityFunction(_UnityFields):
         return self.prime_exponents.get(p, self.default_exponent)
 
 
-def evaluate(f: UnityFunction, n: int, factor_bound: int = DEFAULT_FACTOR_BOUND) -> int:
+def evaluate(f: UnityFunction, n: int) -> int:
     """Exponent of f(n) in {0..k-1}; f(1) is exponent 0."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     total = 0
-    for p, e in factorize(n, factor_bound):
+    for p, e in factorize(n):
         total += e * f.exponent_of(p)
     return total % f.k
 
 
-def min_consecutive_ones(
-    f: UnityFunction, search_bound: int, factor_bound: int = DEFAULT_FACTOR_BOUND
-) -> int | None:
+def min_consecutive_ones(f: UnityFunction, search_bound: int) -> int | None:
     """Minimal a <= search_bound with f(a) = f(a+1) = 1, or None."""
     if search_bound < 1:
         raise ValueError(f"search_bound must be >= 1, got {search_bound}")
-    prev = evaluate(f, 1, factor_bound)
+    prev = evaluate(f, 1)
     for a in range(1, search_bound + 1):
-        cur = evaluate(f, a + 1, factor_bound)
+        cur = evaluate(f, a + 1)
         if prev == 0 and cur == 0:
             return a
         prev = cur

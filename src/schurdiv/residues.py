@@ -15,12 +15,12 @@ table built on first use.  Only prime r (and r past the table) pay a
 running maximum of those run starts — a range-limited empirical view of
 a quantity whose true supremum ranges over all non-exceptional primes.
 Scans take their primes from the sieve and validate k and m once, so the
-kernel never re-proves primality.  A scan stays a list of plain (p, r)
-rows from the kernel to its consumer: `summarize_reports` and the CLI
-read rows, and `ResidueReport` records are built only for library
-callers of `scan_primes`.  A threaded scan imports `concurrent.futures`
-when it builds its pool, so importing this module loads no
-multiprocessing machinery.
+kernel never re-proves primality.  A scan is a list of plain (p, r)
+rows, r None for an exceptional prime, from the kernel to its consumer:
+`summarize_reports`, `exceptional_primes` and the CLI all read rows.  A
+threaded scan builds its pool with `schur_search._process_pool`, which
+imports `concurrent.futures` only then, so importing this module loads
+no multiprocessing machinery.
 
 `consecutive_pair_via_triple` is the constructive route to a consecutive
 residue pair: color {1..bound} by cosets of the k-th powers, find a
@@ -38,11 +38,11 @@ from typing import NamedTuple
 from .coloring import coset_coloring
 from .primes import is_prime, primes_in_range
 from .ramsey import SchurWitness, direct_schur_div_search
+from .schur_search import _process_pool
 
 __all__ = [
     "ConsecutivePair",
     "LambdaEstimate",
-    "ResidueReport",
     "consecutive_pair_via_triple",
     "exceptional_primes",
     "is_kth_residue",
@@ -50,17 +50,6 @@ __all__ = [
     "residue_run_start",
     "scan_primes",
 ]
-
-
-class ResidueReport(NamedTuple):
-    p: int
-    k: int
-    m: int
-    r: int | None  # None marks an exceptional prime
-
-    @property
-    def exceptional(self) -> bool:
-        return self.r is None
 
 
 class LambdaEstimate(NamedTuple):
@@ -151,30 +140,24 @@ def _scan_block(args: tuple[int, int, int, int]) -> list[tuple[int, int | None]]
     return [(p, _run_start(p, k, m)) for p in primes_in_range(lo, hi)]
 
 
-def _scan_rows(k: int, m: int, p_min: int, p_max: int, threads: int = 1) -> list[tuple[int, int | None]]:
-    """`scan_primes` as plain (p, r) rows, ascending regardless of threads."""
+def scan_primes(k: int, m: int, p_min: int, p_max: int, threads: int = 1) -> list[tuple[int, int | None]]:
+    """One (p, r) row per prime in [p_min, p_max], r None for an exceptional
+    prime; ascending regardless of threads."""
     if not 2 <= p_min <= p_max:
         raise ValueError(f"need 2 <= p_min <= p_max, got {p_min}..{p_max}")
     _check_power_and_run(k, m)
     if threads <= 1:
         return _scan_block((k, m, p_min, p_max))
-    from concurrent.futures import ProcessPoolExecutor
-
     span = p_max - p_min + 1
     width = max(1024, span // (threads * 8) + 1)
     blocks = [(k, m, lo, min(lo + width - 1, p_max)) for lo in range(p_min, p_max + 1, width)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with _process_pool(threads) as pool:
         return [row for block_rows in pool.map(_scan_block, blocks) for row in block_rows]
-
-
-def scan_primes(k: int, m: int, p_min: int, p_max: int, threads: int = 1) -> list[ResidueReport]:
-    """One report per prime in [p_min, p_max], ascending regardless of threads."""
-    return [ResidueReport(p, k, m, r) for p, r in _scan_rows(k, m, p_min, p_max, threads)]
 
 
 def lambda_estimate(k: int, m: int, p_min: int, p_max: int, threads: int = 1) -> LambdaEstimate:
     """Aggregate a prime scan: running max of run starts plus exceptional set."""
-    return summarize_reports(k, m, p_min, p_max, _scan_rows(k, m, p_min, p_max, threads))
+    return summarize_reports(k, m, p_min, p_max, scan_primes(k, m, p_min, p_max, threads))
 
 
 def summarize_reports(
@@ -194,7 +177,7 @@ def summarize_reports(
 
 def exceptional_primes(k: int, m: int, p_max: int) -> list[int]:
     """Primes p <= p_max admitting no run of m consecutive k-th power residues."""
-    return [p for p, r in _scan_rows(k, m, 2, p_max) if r is None]
+    return [p for p, r in scan_primes(k, m, 2, p_max) if r is None]
 
 
 class ConsecutivePair(NamedTuple):

@@ -20,11 +20,12 @@ values only when the search both produced a witness for W and exhausted
 the tree for W + 1.  Node and wall-clock budgets turn into a lower_bound
 status, never an error.
 
-Optional multi-process search splits the tree at a fixed prefix depth;
-every subtree must be exhausted for a refutation, so exact results and
-node counts are independent of scheduling.  `schur_number` keeps one
-process pool for all n it searches.  A search with a node or wall-clock
-budget runs in one process, where the budget is polled exactly.
+Optional multi-process search splits the tree at prefix depth
+SPLIT_DEPTH; every subtree must be exhausted for a refutation, so exact
+results and node counts are independent of scheduling.  `schur_number`
+keeps one process pool for all n it searches, with at most one worker
+per CPU.  A search with a node or wall-clock budget runs in one
+process, where the budget is polled exactly.
 `concurrent.futures` is imported by `_process_pool` on the first
 threaded call, so a single-process run never loads multiprocessing.
 
@@ -64,7 +65,7 @@ __all__ = [
 
 CACHE_VERSION = 1
 
-DEFAULT_SPLIT_DEPTH = 8
+SPLIT_DEPTH = 8
 
 
 class ForbiddenTriple(NamedTuple):
@@ -248,7 +249,6 @@ def exists_valid_coloring(
     max_nodes: int | None = None,
     max_seconds: float | None = None,
     threads: int = 1,
-    split_depth: int = DEFAULT_SPLIT_DEPTH,
 ) -> list[int] | None:
     """A coloring of {1..n} with no monochromatic forbidden triple, or None
     once the whole tree is exhausted.  Raises BudgetExhausted if a budget
@@ -258,39 +258,40 @@ def exists_valid_coloring(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     with _process_pool(threads) as pool:
-        return _exists(l, n, restricted, allow_equal, max_nodes, max_seconds, split_depth, pool)[0]
+        return _exists(l, n, restricted, allow_equal, max_nodes, max_seconds, pool)[0]
 
 
 def _process_pool(threads: int):
-    """A context manager yielding a pool of `threads` workers, or None
-    when threads <= 1.  The pool starts no process before its first cube."""
+    """A context manager yielding a process pool, or None when threads <= 1.
+    The pool has one worker per CPU at most, however many threads are asked
+    for: a fork-based pool starts all its workers at the first submit."""
     if threads <= 1:
         return nullcontext()
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=threads)
+    return ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1))
 
 
-def _exists(l, n, restricted, allow_equal, max_nodes, max_seconds, split_depth, pool):
+def _exists(l, n, restricted, allow_equal, max_nodes, max_seconds, pool):
     """The first witness, or None on refutation, and the nodes searched.
-    With a process pool, an unbudgeted n above split_depth is split into
+    With a process pool, an unbudgeted n above SPLIT_DEPTH is split into
     cubes; a budgeted search runs here, where the budget is polled exactly."""
-    if pool is not None and n > split_depth and max_nodes is None and max_seconds is None:
-        return _exists_parallel(l, n, restricted, allow_equal, split_depth, pool)
+    if pool is not None and n > SPLIT_DEPTH and max_nodes is None and max_seconds is None:
+        return _exists_parallel(l, n, restricted, allow_equal, SPLIT_DEPTH, pool)
     searcher = _Searcher(l, n, restricted, allow_equal, max_nodes, max_seconds)
     return searcher.run(1, -1), searcher.nodes
 
 
 def _exists_parallel(
-    l: int, n: int, restricted: bool, allow_equal: bool, split_depth: int, pool
+    l: int, n: int, restricted: bool, allow_equal: bool, depth: int, pool
 ) -> tuple[list[int] | None, int]:
-    """Search each prefix of 1..split_depth (a cube) in a pool worker.
+    """Search each prefix of 1..depth (a cube) in a pool worker.
     Returns the first witness in prefix order and the nodes of the prefix
     enumeration plus those of every cube up to the witness's: independent
     of scheduling, and the single-process count for a refutation.  Cubes
     still pending once the witness is in are cancelled."""
     base = _Searcher(l, n, restricted, allow_equal)
-    prefixes = base.collect_prefixes(split_depth)
+    prefixes = base.collect_prefixes(depth)
     nodes = base.nodes
     cubes = [pool.submit(_subtree_worker, (l, n, restricted, allow_equal, prefix)) for prefix in prefixes]
     try:
@@ -329,7 +330,6 @@ def schur_number(
     max_seconds: float | None = None,
     max_n: int | None = None,
     threads: int = 1,
-    split_depth: int = DEFAULT_SPLIT_DEPTH,
     cache_path: str | None = None,
 ) -> SearchResult:
     """Largest W with a valid coloring of {1..W}; exact S = W + 1 only when
@@ -365,9 +365,7 @@ def schur_number(
             if node_room is not None and node_room <= 0:
                 break
             try:
-                found, nodes = _exists(
-                    l, n, restricted, allow_equal, node_room, remaining, split_depth, pool
-                )
+                found, nodes = _exists(l, n, restricted, allow_equal, node_room, remaining, pool)
                 nodes_total += nodes
             except BudgetExhausted as exc:
                 nodes_total += exc.nodes

@@ -160,18 +160,18 @@ def test_criterion_5_ramsey_constants():
 def test_criterion_6_residue_scan():
     start = time.perf_counter()
     reports = scan_primes(2, 2, 7, 10_000)
-    estimate = summarize_reports(2, 2, 7, 10_000, [(rep.p, rep.r) for rep in reports])
+    estimate = summarize_reports(2, 2, 7, 10_000, reports)
     exc = exceptional_primes(2, 2, 100)
     elapsed = time.perf_counter() - start
     # brute-force oracle per prime (outside the timed window)
     oracle_ok = True
-    for rep in reports:
-        residues = {pow(s, 2, rep.p) for s in range(1, rep.p)}
+    for p, run_start in reports:
+        residues = {pow(s, 2, p) for s in range(1, p)}
         expected = next(
-            (r for r in range(1, rep.p - 1) if r in residues and r + 1 in residues),
+            (r for r in range(1, p - 1) if r in residues and r + 1 in residues),
             None,
         )
-        if rep.r != expected:
+        if run_start != expected:
             oracle_ok = False
             break
     ok = (

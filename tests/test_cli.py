@@ -1,5 +1,7 @@
+import concurrent.futures
 import json
 import math
+import os
 
 import pytest
 
@@ -93,6 +95,11 @@ class TestWitness:
         code, out, err = run(capsys, "witness", "--coloring", "mod:3:0,1", "--via", "direct")
         assert code == 2
         assert "position" in err
+
+    def test_modulus_below_one_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "witness", "--coloring", "mod:0:", "--via", "direct")
+        assert (code, out) == (2, "")
+        assert "modulus must be >= 1" in err
 
     def test_infeasible_is_runtime_failure(self, capsys, tmp_path):
         path = tmp_path / "colors.json"
@@ -238,17 +245,17 @@ class TestResidues:
 
     @staticmethod
     def record_stdout(k, m, pmin, pmax, fmt, threads):
-        """The report as written from `scan_primes` records and per-row dicts."""
+        """The report as written from `scan_primes` rows and per-row dicts."""
         reports = scan_primes(k, m, pmin, pmax, threads=threads)
         max_r = argmax_p = None
-        for rep in reports:
-            if not rep.exceptional and (max_r is None or rep.r > max_r):
-                max_r, argmax_p = rep.r, rep.p
+        for p, r in reports:
+            if r is not None and (max_r is None or r > max_r):
+                max_r, argmax_p = r, p
         if fmt == "csv":
             lines = ["p,k,m,r,exceptional"] + [
-                f"{rep.p},{rep.k},{rep.m},{'' if rep.r is None else rep.r},"
-                f"{'true' if rep.exceptional else 'false'}"
-                for rep in reports
+                f"{p},{k},{m},{'' if r is None else r},"
+                f"{'true' if r is None else 'false'}"
+                for p, r in reports
             ]
             lines.append(f"max_r={'' if max_r is None else max_r},"
                          f"argmax_p={'' if argmax_p is None else argmax_p}")
@@ -258,10 +265,10 @@ class TestResidues:
             "subcommand": "residues",
             "parameters": {"seed": DEFAULT_SEED, "k": k, "m": m, "pmin": pmin, "pmax": pmax,
                            "format": fmt, "threads": threads},
-            "reports": [{"p": rep.p, "r": rep.r, "exceptional": rep.exceptional} for rep in reports],
+            "reports": [{"p": p, "r": r, "exceptional": r is None} for p, r in reports],
             "summary": {"k": k, "m": m, "p_min": pmin, "p_max": pmax, "max_r": max_r,
                         "argmax_p": argmax_p,
-                        "exceptional": [rep.p for rep in reports if rep.exceptional]},
+                        "exceptional": [p for p, r in reports if r is None]},
         }
         return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -290,15 +297,21 @@ class TestResidues:
         assert schurdiv.cli.scan_primes is scan_primes
         assert schurdiv.cli.is_prime is is_prime
         assert schurdiv.cli.summarize_reports is residues.summarize_reports
-        calls = []
+        calls, scans = [], []
 
         def summarize(*args):
             calls.append(args[:4])
             return residues.summarize_reports(*args)
 
+        def scan(*args, **kwargs):
+            scans.append((args, kwargs))
+            return scan_primes(*args, **kwargs)
+
         monkeypatch.setattr(schurdiv.cli, "summarize_reports", summarize)
+        monkeypatch.setattr(schurdiv.cli, "scan_primes", scan)
         run_json(capsys, "residues", "--k", "2", "--m", "2", "--pmin", "7", "--pmax", "50")
         assert calls == [(2, 2, 7, 50)]
+        assert scans == [((2, 2, 7, 50), {"threads": 1})]
 
     def test_bad_range_usage_error(self, capsys):
         code, _, err = run(
@@ -361,3 +374,52 @@ class TestUsage:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
+
+
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Process pools on a pinned 2-CPU machine that record their worker
+    count and run each task at once, so no process is started."""
+    built = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return built
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("residues", "--k", "3", "--m", "2", "--pmin", "2", "--pmax", "5000"),
+        ("residues", "--k", "3", "--m", "2", "--pmin", "2", "--pmax", "5000", "--format", "csv"),
+        ("schur", "--colors", "3"),
+    ],
+)
+def test_threads_beyond_the_cpus_share_one_worker_each(capsys, inline_pools, argv):
+    """--threads 500 builds a pool of os.cpu_count() workers, and reports
+    the same rows, witness and node count as --threads 2; only the echoed
+    parameter differs."""
+    code, two, _ = run(capsys, *argv, "--threads", "2")
+    assert code == 0
+    code, many, _ = run(capsys, *argv, "--threads", "500")
+    assert code == 0
+    assert inline_pools == [2, 2]
+    assert many == two.replace('"threads":2', '"threads":500')

@@ -235,6 +235,9 @@ class TestSpecGrammar:
             ("unity:2:4=1", 8),
             ("unity:2:2=1,2=0", 12),
             ("unity:2:2=1:fallback=1", 12),
+            ("mod:0:", 4),
+            ("mod:-2:", 4),
+            ("mod:0:0", 4),
         ],
     )
     def test_errors_carry_positions(self, spec, position):
@@ -263,6 +266,12 @@ class TestSpecGrammar:
         with pytest.raises(ColoringSpecError) as exc:
             parse_coloring_spec(f"unity:5:{text}")
         assert exc.value.position == position + len("unity:5:")
+
+    def test_explicit_rejects_booleans(self, tmp_path):
+        path = tmp_path / "colors.json"
+        path.write_text(json.dumps([True, False, True, 2]))
+        with pytest.raises(ColoringSpecError, match="JSON array of integers"):
+            parse_coloring_spec(f"explicit:{path}")
 
     def test_explicit_missing_file(self, tmp_path):
         with pytest.raises(ColoringSpecError):

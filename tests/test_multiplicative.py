@@ -73,7 +73,7 @@ class TestEvaluate:
     def test_factor_budget(self):
         f = UnityFunction(2, {}, 1)
         with pytest.raises(FactorizationBudgetError):
-            evaluate(f, 1000003 * 1000033, factor_bound=1000)
+            evaluate(f, 1000003 * 1000033)
 
 
 class TestMinConsecutiveOnes:

@@ -21,7 +21,6 @@ from schurdiv import (
     LambdaEstimate,
     LemmaReport,
     R3Info,
-    ResidueReport,
     SchurWitness,
     SearchResult,
     SearchStats,
@@ -63,7 +62,6 @@ class TestColdStart:
 RECORDS = [
     (SearchStats, ("nodes", "wall_time"), {}),
     (SearchResult, ("colors", "restricted", "status", "W", "S", "witness_coloring", "stats"), {}),
-    (ResidueReport, ("p", "k", "m", "r"), {}),
     (LambdaEstimate, ("k", "m", "p_min", "p_max", "max_r", "argmax_p", "exceptional"), {}),
     (ConsecutivePair, ("y_prime", "z_prime", "witness"), {}),
     (WitnessSequence, ("kind", "terms", "prefix_sums"), {}),
@@ -93,7 +91,7 @@ class TestRecords:
         "value, field",
         [
             (SearchStats(nodes=3, wall_time=0.5), "nodes"),
-            (ResidueReport(p=7, k=3, m=2, r=None), "r"),
+            (LambdaEstimate(3, 2, 2, 30, 7, 19, (2, 7, 13)), "max_r"),
             (R3Info(3, 17, True), "exact"),
             (SchurWitness(x=1, y=1, z=2, color=0, quotient=1, via="direct-search"), "x"),
             (UnityFunction(2, {3: 1}), "k"),
@@ -104,15 +102,13 @@ class TestRecords:
             setattr(value, field, 0)
 
     def test_members_kept(self):
-        assert ResidueReport(7, 3, 2, None).exceptional
-        assert not ResidueReport(7, 3, 2, 1).exceptional
         assert SchurWitness(1, 1, 2, 0, 1, "direct-search").materialized
         assert LemmaReport("factorial", 3, 1, ()).ok
 
     def test_records_are_tuples(self):
-        report = ResidueReport(p=7, k=3, m=2, r=None)
-        assert report == (7, 3, 2, None)
-        assert report.r is report[3]
+        report = LambdaEstimate(k=3, m=2, p_min=2, p_max=30, max_r=None, argmax_p=None, exceptional=())
+        assert report == (3, 2, 2, 30, None, None, ())
+        assert report.max_r is report[4]
 
     def test_witness_sequence_len_is_term_count(self):
         seq = generate("product", 5)

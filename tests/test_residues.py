@@ -128,8 +128,8 @@ class TestRunStartKernel:
 class TestScan:
     def test_scan_7_to_50(self):
         reports = scan_primes(2, 2, 7, 50)
-        assert [rep.p for rep in reports] == sieve(50)[3:]
-        got = {rep.p: rep.r for rep in reports}
+        assert [p for p, _ in reports] == sieve(50)[3:]
+        got = dict(reports)
         assert got == {p: brute_run_start(p, 2, 2) for p in got}
         assert got[43] == 9
         est = lambda_estimate(2, 2, 7, 50)
@@ -143,7 +143,7 @@ class TestScan:
 
     def test_scan_single_prime(self):
         reports = scan_primes(3, 2, 5, 5)
-        assert len(reports) == 1 and reports[0].r == 1
+        assert len(reports) == 1 and reports[0] == (5, 1)
 
     def test_threads_match_sequential(self):
         seq = scan_primes(2, 2, 7, 400)

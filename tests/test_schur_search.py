@@ -129,11 +129,13 @@ class TestExistsValidColoring:
         with pytest.raises(BudgetExhausted):
             exists_valid_coloring(3, 13, restricted=False, max_nodes=5)
 
-    def test_parallel_matches_sequential(self):
+    def test_parallel_matches_sequential(self, monkeypatch):
         seq_witness = exists_valid_coloring(3, 13, restricted=False)
-        par_witness = exists_valid_coloring(3, 13, restricted=False, threads=2, split_depth=4)
+        monkeypatch.setattr(schur_search, "SPLIT_DEPTH", 4)
+        par_witness = exists_valid_coloring(3, 13, restricted=False, threads=2)
         assert par_witness == seq_witness
-        assert exists_valid_coloring(2, 5, restricted=False, threads=2, split_depth=3) is None
+        monkeypatch.setattr(schur_search, "SPLIT_DEPTH", 3)
+        assert exists_valid_coloring(2, 5, restricted=False, threads=2) is None
 
 
 class TestSchurNumber:
@@ -175,9 +177,10 @@ class TestSchurNumber:
         result = schur_number(2, max_n=3)
         assert (result.status, result.W) == ("lower_bound", 3)
 
-    def test_threads_match_sequential(self):
+    def test_threads_match_sequential(self, monkeypatch):
         seq = schur_number(2, restricted=True)
-        par = schur_number(2, restricted=True, threads=2, split_depth=4)
+        monkeypatch.setattr(schur_search, "SPLIT_DEPTH", 4)
+        par = schur_number(2, restricted=True, threads=2)
         assert (par.status, par.W, par.S) == (seq.status, seq.W, seq.S)
         assert par.witness_coloring == seq.witness_coloring
 

@@ -7,6 +7,7 @@ because the branching order and the pruning are unchanged.
 """
 
 import concurrent.futures
+import os
 from concurrent.futures import ProcessPoolExecutor
 from itertools import product as iproduct
 
@@ -143,9 +144,10 @@ class TestParallelNodes:
         assert first == again
         assert first[0] == exists_valid_coloring(3, 13)
 
-    def test_schur_number_reports_worker_nodes(self):
+    def test_schur_number_reports_worker_nodes(self, monkeypatch):
         seq = schur_number(3)
-        par = schur_number(3, threads=2, split_depth=5)
+        monkeypatch.setattr(schur_search, "SPLIT_DEPTH", 5)
+        par = schur_number(3, threads=2)
         assert (par.W, par.S, par.witness_coloring) == (seq.W, seq.S, seq.witness_coloring)
         assert par.stats.nodes >= seq.stats.nodes
 
@@ -158,8 +160,10 @@ class TestParallelNodes:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(schur_search, "SPLIT_DEPTH", 4)
         seq = schur_number(3)
-        par = schur_number(3, threads=2, split_depth=4)
+        par = schur_number(3, threads=2)
         assert built == [{"max_workers": 2}]
         assert (par.W, par.S, par.witness_coloring) == (seq.W, seq.S, seq.witness_coloring)
         # The total of a fresh pool per n.  It exceeds the single-process
