@@ -126,9 +126,7 @@ def _emit(report: dict) -> None:
 def _cmd_seq(args) -> int:
     seq = generate(args.kind, args.count, args.budget_digits)
     violations = []
-    checked = False
     if args.check_divisibility:
-        checked = True
         report = check_divisibility_lemma(seq, len(seq.terms) + 1)
         violations = [{"i": v.i, "j": v.j, "k": v.k} for v in report.violations]
     out = _provenance(args, ["kind", "count", "budget-digits"])
@@ -136,7 +134,7 @@ def _cmd_seq(args) -> int:
         kind=seq.kind,
         count=len(seq.terms),
         terms=[str(t) for t in seq.terms],
-        checked=checked,
+        checked=args.check_divisibility,
         violations=violations,
     )
     _emit(out)
@@ -155,8 +153,16 @@ def _cmd_witness(args) -> int:
     except ColoringSpecError as exc:
         raise UsageError(str(exc)) from exc
     out = _provenance(args, ["coloring", "via", "max-n"])
+    route = {}
     if args.via == "ramsey":
         w = witness_via_ramsey(coloring)
+        route = {"triangle": w.triangle, "r_vertices": w.r_vertices, "r_exact": w.r_exact}
+    else:
+        n_max = (coloring.domain_max or DEFAULT_DIRECT_MAX_N) if args.max_n is None else args.max_n
+        w = direct_schur_div_search(coloring, n_max)
+        if w is None:
+            out.update(found=False, n_max=n_max, via="direct-search")
+    if w is not None:
         out.update(
             found=True,
             x=_witness_value(w.x, w.x_span),
@@ -165,27 +171,8 @@ def _cmd_witness(args) -> int:
             color=w.color,
             quotient=None if w.quotient is None else str(w.quotient),
             via=w.via,
-            triangle=list(w.triangle),
-            r_vertices=w.r_vertices,
-            r_exact=w.r_exact,
+            **route,
         )
-    else:
-        n_max = args.max_n
-        if n_max is None:
-            n_max = coloring.domain_max or DEFAULT_DIRECT_MAX_N
-        w = direct_schur_div_search(coloring, n_max)
-        if w is None:
-            out.update(found=False, n_max=n_max, via="direct-search")
-        else:
-            out.update(
-                found=True,
-                x=str(w.x),
-                y=str(w.y),
-                z=str(w.z),
-                color=w.color,
-                quotient=str(w.quotient),
-                via=w.via,
-            )
     _emit(out)
     return 0
 

@@ -16,18 +16,20 @@ reported exactly when the triangle sits low enough, and as (i, j) span
 descriptors otherwise.
 
 `direct_schur_div_search` is the second, independent route: scan triples
-(x, a*x, (a+1)*x) directly under the coloring in increasing z then x.
+(x, a*x, (a+1)*x) directly under the coloring in increasing z then x,
+as `schur_search._triples` yields them, coloring z before x and y.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
-from math import isqrt
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from .coloring import Coloring, CosetColoring, OutOfDomainError, ResidueColoring
 from .primes import FactorizationBudgetError
+from .schur_search import _triples
 from .sequences import (
     _EXACT_FACTORIAL_TERMS,
     FACTORIAL,
@@ -196,38 +198,21 @@ def witness_via_ramsey(coloring: Coloring) -> SchurWitness:
     if tri is None:  # impossible below the Ramsey bound
         raise AssertionError(f"no monochromatic triangle on {info.vertices} vertices")
     i, j, k = tri.i, tri.j, tri.k
-    spans = {"x_span": (i, j), "y_span": (j, k), "z_span": (i, k)}
+    x = y = z = quotient = None
     if k - 1 <= _MATERIALIZABLE_TERMS:
         seq = generate(FACTORIAL, k - 1)
-        x = interval_sum(seq, i, j)
-        y = interval_sum(seq, j, k)
-        z = interval_sum(seq, i, k)
+        x, y, z = interval_sum(seq, i, j), interval_sum(seq, j, k), interval_sum(seq, i, k)
         if x + y != z or y % x:
             raise AssertionError(f"witness ({x},{y},{z}) violates its own structure")
         for value in (x, y, z):
             if coloring.color_of(value) != tri.color:
                 raise AssertionError(f"block sum {value} re-colors off {tri.color}")
-        return SchurWitness(
-            x=x, y=y, z=z, color=tri.color, quotient=y // x, via="ramsey-construction",
-            triangle=(i, j, k), r_vertices=info.vertices, r_exact=info.exact, **spans,
-        )
+        quotient = y // x
     return SchurWitness(
-        x=None, y=None, z=None, color=tri.color, quotient=None, via="ramsey-construction",
-        triangle=(i, j, k), r_vertices=info.vertices, r_exact=info.exact, **spans,
+        x=x, y=y, z=z, color=tri.color, quotient=quotient, via="ramsey-construction",
+        x_span=(i, j), y_span=(j, k), z_span=(i, k),
+        triangle=(i, j, k), r_vertices=info.vertices, r_exact=info.exact,
     )
-
-
-def _divisors_up_to_half(z: int) -> list[int]:
-    """Divisors x of z with x <= z/2, ascending."""
-    small, large = [], []
-    for d in range(1, isqrt(z) + 1):
-        if z % d == 0:
-            small.append(d)
-            if d != z // d:
-                large.append(z // d)
-    divs = small + large[::-1]
-    half = z // 2
-    return [d for d in divs if d <= half]
 
 
 def direct_schur_div_search(coloring: Coloring, n_max: int) -> SchurWitness | None:
@@ -235,20 +220,9 @@ def direct_schur_div_search(coloring: Coloring, n_max: int) -> SchurWitness | No
     scanning in increasing z then increasing x; None if there is none."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    cache: dict[int, int] = {}
-
-    def color(n: int) -> int:
-        c = cache.get(n)
-        if c is None:
-            c = cache[n] = coloring.color_of(n)
-        return c
-
-    for z in range(2, n_max + 1):
-        cz = color(z)
-        for x in _divisors_up_to_half(z):
-            y = z - x  # x | z makes x | y automatic
-            if color(x) == cz and color(y) == cz:
-                return SchurWitness(
-                    x=x, y=y, z=z, color=cz, quotient=y // x, via="direct-search"
-                )
+    color = lru_cache(maxsize=None)(coloring.color_of)
+    for x, y, z in _triples(n_max, restricted=True):
+        c = color(z)
+        if color(x) == c and color(y) == c:
+            return SchurWitness(x=x, y=y, z=z, color=c, quotient=y // x, via="direct-search")
     return None

@@ -1,7 +1,10 @@
 """Exact Schur-style numbers by depth-first search with bitset propagation.
 
-`forbidden_triples` enumerates the monochromatic patterns to avoid:
-x + y = z with x <= y, optionally strengthened by x | y.  The solver
+The monochromatic patterns to avoid are x + y = z with x <= y, optionally
+strengthened by x | y.  `_triples` is their one definition, in (z, x)
+order, and a restricted z only tries its divisors up to z/2 (x | y iff
+x | z).  `forbidden_triples`, `validate_coloring`, the solver's pair
+table and `ramsey.direct_schur_div_search` all read it.  The solver
 assigns colors to 1, 2, 3, ... in natural order, keeping per color c two
 bitsets over 1..n: members[c], and banned[c], the integers c would
 complete a forbidden triple on.  Assigning v to c ORs
@@ -45,8 +48,9 @@ import sys
 import time
 from contextlib import nullcontext, suppress
 from functools import partial, reduce
+from math import isfinite, isqrt
 from operator import and_
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
     "BudgetExhausted",
@@ -88,35 +92,35 @@ class CacheError(RuntimeError):
     valid coloring, or a refutation contradicted by a witness."""
 
 
+def _triples(n: int, restricted: bool, allow_equal: bool = True) -> Iterator[tuple[int, int, int]]:
+    """Every (x, y, z) with x + y = z <= n and x <= y, in (z, x) order;
+    allow_equal=False drops x = y.  Restricted triples also need x | y, that is
+    x | z: x runs over the divisors d <= sqrt(z), then z/d for 1 < d < z/d."""
+    for z in range(2, n + 1):
+        if restricted:
+            small = [d for d in range(1, isqrt(z) + 1) if z % d == 0]
+            xs = small + [z // d for d in reversed(small) if 1 < d < z // d]
+        else:
+            xs = range(1, z // 2 + 1)
+        for x in xs:
+            if allow_equal or 2 * x != z:
+                yield x, z - x, z
+
+
 def forbidden_triples(n: int, restricted: bool, allow_equal: bool = True) -> list[ForbiddenTriple]:
     """All triples x + y = z with x <= y <= z <= n to avoid monochromatically,
     restricted ones additionally demanding x | y; sorted by (z, x)."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    out = []
-    for z in range(2, n + 1):
-        for x in range(1, z // 2 + 1):
-            y = z - x
-            if restricted and y % x:
-                continue
-            if not allow_equal and x == y:
-                continue
-            out.append(ForbiddenTriple(x, y, z, restricted))
-    return out
+    return [ForbiddenTriple(x, y, z, restricted) for x, y, z in _triples(n, restricted, allow_equal)]
 
 
 def validate_coloring(
     colors: Sequence[int], restricted: bool, allow_equal: bool = True
 ) -> list[ForbiddenTriple]:
     """Monochromatic forbidden triples under `colors` (index i colors i+1)."""
-    n = len(colors)
-    if n < 2:
-        return []
-    hits = []
-    for t in forbidden_triples(n, restricted, allow_equal):
-        if colors[t.x - 1] == colors[t.y - 1] == colors[t.z - 1]:
-            hits.append(t)
-    return hits
+    return [ForbiddenTriple(x, y, z, restricted) for x, y, z in _triples(len(colors), restricted, allow_equal)
+            if colors[x - 1] == colors[y - 1] == colors[z - 1]]
 
 
 class _Searcher:
@@ -134,12 +138,10 @@ class _Searcher:
                  max_nodes: int | None = None, max_seconds: float | None = None):
         self.l = l
         self.n = n
-        # pairs[v]: bit x for each x <= min(v, n - v) with (x, v, x + v) forbidden.
-        self.pairs = [
-            sum(1 << x for x in range(1, min(v, n - v) + 1)
-                if (not restricted or v % x == 0) and (allow_equal or x != v))
-            for v in range(n + 1)
-        ]
+        # pairs[y]: bit x for each forbidden (x, y, x + y); x <= y, so bans land above y.
+        self.pairs = [0] * (n + 1)
+        for x, y, _ in _triples(n, restricted, allow_equal):
+            self.pairs[y] |= 1 << x
         self.members = [0] * l
         self.banned = [0] * l
         self.all_banned = partial(reduce, and_, self.banned)  # integers left no color
@@ -253,12 +255,21 @@ def exists_valid_coloring(
     """A coloring of {1..n} with no monochromatic forbidden triple, or None
     once the whole tree is exhausted.  Raises BudgetExhausted if a budget
     cuts the search before either outcome."""
-    if l < 1:
-        raise ValueError(f"color count must be >= 1, got {l}")
+    _check_problem(l, max_nodes, max_seconds)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     with _process_pool(threads) as pool:
         return _exists(l, n, restricted, allow_equal, max_nodes, max_seconds, pool)[0]
+
+
+def _check_problem(l: int, max_nodes: int | None, max_seconds: float | None) -> None:
+    """Reject l < 1 and budgets below 0; seconds must be finite.  None means no budget."""
+    if l < 1:
+        raise ValueError(f"color count must be >= 1, got {l}")
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
+    if max_seconds is not None and not (isfinite(max_seconds) and max_seconds >= 0):
+        raise ValueError(f"max_seconds must be finite and >= 0, got {max_seconds}")
 
 
 def _process_pool(threads: int):
@@ -341,8 +352,7 @@ def schur_number(
     those two, cached or new, as the key's entries: a witness for {1..n}
     covers every smaller n, a refutation of n every larger one.
     """
-    if l < 1:
-        raise ValueError(f"color count must be >= 1, got {l}")
+    _check_problem(l, max_nodes, max_seconds)
     start = time.perf_counter()
     deadline = None if max_seconds is None else start + max_seconds
     nodes_total = 0
@@ -385,7 +395,7 @@ def schur_number(
         status=status,
         W=W,
         S=W + 1 if status == "exact" else None,
-        witness_coloring=list(witness) if witness or W == 0 else None,
+        witness_coloring=list(witness),
         stats=SearchStats(nodes=nodes_total, wall_time=wall),
     )
 

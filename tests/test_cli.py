@@ -182,6 +182,14 @@ class TestSchur:
         assert report["status"] == "lower_bound"
         assert report["S"] is None
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--budget-secs", "nan"), ("--budget-secs", "-5"), ("--budget-secs", "inf"), ("--budget-nodes", "-3"),
+    ])
+    def test_invalid_budget_usage_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "schur", "--colors", "3", flag, value)
+        assert (code, out) == (2, "")
+        assert "must be" in err and value in err
+
     @pytest.mark.parametrize("colors", ["0", "-1"])
     def test_color_count_below_one_usage_error(self, capsys, colors):
         code, out, err = run(capsys, "schur", "--colors", colors)

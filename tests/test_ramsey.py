@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -16,6 +17,7 @@ from schurdiv.ramsey import (
     witness_via_ramsey,
 )
 from schurdiv.sequences import FACTORIAL, interval_sum_mod
+from test_schur_search import brute_triples
 
 
 def brute_first_mono_triangle(vertex_count, edge_color):
@@ -209,6 +211,34 @@ class TestDirectSearch:
             ]
             for x, y, z in before:
                 assert len({c.color_of(x), c.color_of(y), c.color_of(z)}) > 1
+
+    def test_first_triple_of_the_oracle_enumeration(self):
+        rng = random.Random(20240901)
+        outcomes = set()
+        for _ in range(300):
+            n, l = rng.randint(1, 60), rng.randint(2, 4)
+            table = [rng.randrange(l) for _ in range(n)]
+            expected = next(
+                ((x, y, z) for x, y, z in brute_triples(n, True) if table[x - 1] == table[y - 1] == table[z - 1]),
+                None,
+            )
+            w = direct_schur_div_search(ExplicitColoring(table), n)
+            assert (None if w is None else (w.x, w.y, w.z)) == expected, table
+            if w is not None:
+                assert (w.color, w.quotient, w.via) == (table[w.z - 1], w.y // w.x, "direct-search")
+            outcomes.add(w is None)
+        assert outcomes == {False, True}
+
+    def test_colors_each_integer_once_z_first(self):
+        class Recording(ExplicitColoring):
+            def color_of(self, n):
+                calls.append(n)
+                return super().color_of(n)
+
+        calls = []
+        assert direct_schur_div_search(Recording([0, 1, 1, 0, 1, 0, 1, 1, 1, 0, 1]), 11) is None
+        # Memoised, and each z is colored before its x and y (all smaller).
+        assert calls == [2, 1, *range(3, 12)]
 
     def test_agreement_between_routes(self):
         for spec in ("parity", "mod:3:0,1,2", "coset:7:2", "coset:11:2"):

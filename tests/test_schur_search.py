@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 import time
@@ -22,7 +23,7 @@ from schurdiv.schur_search import (
 )
 
 
-def brute_triples(n, restricted):
+def brute_triples(n, restricted, allow_equal=True):
     """Oracle enumeration of forbidden patterns, independent of the module."""
     out = []
     for x in range(1, n + 1):
@@ -31,6 +32,8 @@ def brute_triples(n, restricted):
             if z > n:
                 break
             if restricted and y % x:
+                continue
+            if not allow_equal and x == y:
                 continue
             out.append((x, y, z))
     return sorted(out, key=lambda t: (t[2], t[0]))
@@ -63,11 +66,24 @@ class TestForbiddenTriples:
     def test_restricted_n2(self):
         assert [tuple(t)[:3] for t in forbidden_triples(2, restricted=True)] == [(1, 1, 2)]
 
-    @pytest.mark.parametrize("restricted", [False, True])
-    def test_matches_oracle_and_sort_order(self, restricted):
+    @pytest.mark.parametrize("restricted, allow_equal", [
+        pytest.param(False, True, id="False"),
+        pytest.param(True, True, id="True"),
+        pytest.param(False, False, id="False-strict"),
+        pytest.param(True, False, id="True-strict"),
+    ])
+    def test_matches_oracle_and_sort_order(self, restricted, allow_equal):
         for n in range(2, 41):
-            got = [(t.x, t.y, t.z) for t in forbidden_triples(n, restricted)]
-            assert got == brute_triples(n, restricted), n
+            got = [(t.x, t.y, t.z) for t in forbidden_triples(n, restricted, allow_equal)]
+            assert got == brute_triples(n, restricted, allow_equal), n
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    @pytest.mark.parametrize("allow_equal", [True, False])
+    def test_enumerator_matches_oracle_far_out(self, restricted, allow_equal):
+        # Up to 400, the restricted divisor walk meets squares, primes and highly composite z.
+        got = list(schur_search._triples(400, restricted, allow_equal))
+        assert got == brute_triples(400, restricted, allow_equal)
+        assert list(schur_search._triples(1, restricted, allow_equal)) == []
 
     def test_restricted_subset_of_unrestricted(self):
         for n in range(2, 41):
@@ -183,6 +199,29 @@ class TestSchurNumber:
         par = schur_number(2, restricted=True, threads=2)
         assert (par.status, par.W, par.S) == (seq.status, seq.W, seq.S)
         assert par.witness_coloring == seq.witness_coloring
+
+
+class TestBudgetValidation:
+    """Budgets are None (unlimited) or at least 0; seconds must be finite."""
+
+    BAD = [{"max_nodes": -3}, {"max_seconds": -5.0}, {"max_seconds": math.nan}, {"max_seconds": math.inf}]
+
+    @pytest.mark.parametrize("budget", BAD)
+    def test_schur_number_rejects(self, budget):
+        with pytest.raises(ValueError, match="must be"):
+            schur_number(3, **budget)
+
+    @pytest.mark.parametrize("budget", BAD)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_exists_valid_coloring_rejects(self, budget, threads):
+        with pytest.raises(ValueError, match="must be"):
+            exists_valid_coloring(3, 13, threads=threads, **budget)
+
+    def test_zero_node_budget_stays_valid(self):
+        with pytest.raises(BudgetExhausted) as exc:
+            exists_valid_coloring(3, 13, max_nodes=0)
+        assert exc.value.nodes == 1
+        assert schur_number(3, max_nodes=0)[2:5] == ("lower_bound", 0, None)
 
 
 class TestThreadedBudgets:
@@ -534,6 +573,20 @@ class TestMalformedCache:
 
 
 class TestValidateColoring:
+    @pytest.mark.parametrize("restricted", [False, True])
+    @pytest.mark.parametrize("allow_equal", [True, False])
+    def test_matches_oracle_on_random_colorings(self, restricted, allow_equal):
+        rng = random.Random(7)
+        for _ in range(100):
+            l = rng.randint(1, 3)
+            colors = [rng.randrange(l) for _ in range(rng.randint(0, 40))]
+            expected = [
+                ForbiddenTriple(x, y, z, restricted)
+                for x, y, z in brute_triples(len(colors), restricted, allow_equal)
+                if colors[x - 1] == colors[y - 1] == colors[z - 1]
+            ]
+            assert validate_coloring(colors, restricted, allow_equal) == expected
+
     def test_detects_monochromatic_triple(self):
         hits = validate_coloring([0, 0, 0], restricted=True)
         assert ForbiddenTriple(1, 1, 2, True) in hits
