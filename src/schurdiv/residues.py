@@ -146,7 +146,9 @@ def scan_primes(k: int, m: int, p_min: int, p_max: int, threads: int = 1) -> lis
     if not 2 <= p_min <= p_max:
         raise ValueError(f"need 2 <= p_min <= p_max, got {p_min}..{p_max}")
     _check_power_and_run(k, m)
-    if threads <= 1:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads == 1:
         return _scan_block((k, m, p_min, p_max))
     span = p_max - p_min + 1
     width = max(1024, span // (threads * 8) + 1)

@@ -13,6 +13,12 @@ banned sets share a bit.  Undo restores banned[c] and clears bit v of
 members[c].  Seeding a prefix, enumerating prefixes and the search all
 run this one step (bitwise backtracking, Knuth TAOCP 7.2.2).
 
+Twin subtrees are counted, not walked.  At a v no later pair reads
+(restricted: every v > n/3), all used colors that ban nothing leave the
+same future; once the first is refuted after N nodes, each later one
+adds its own node plus N.  `nodes` counts the plain walk, so a timed
+restricted run can report over 10^10.  Prefix recording turns this off.
+
 Symmetry breaking: integer 1 always takes color 0, and a new color index
 may only be used once all smaller indices appear.  The first witness
 found under this fixed branching order is deterministic.
@@ -129,9 +135,10 @@ class _Searcher:
     `_extend` holds the only assign/undo step.  It searches to `depth`,
     stopping at the first leaf, or recording leaves while `prefixes` is a
     list.  Budgets are polled only at node count `poll_at`: the node limit
-    raises at max_nodes + 1, the deadline is read every 2048 nodes."""
+    raises at max_nodes + 1, the deadline is read every 2048 nodes (once
+    per reused twin subtree, at the first multiple it crosses)."""
 
-    __slots__ = ("l", "n", "pairs", "members", "banned", "all_banned", "choices", "nodes",
+    __slots__ = ("l", "n", "pairs", "forget", "members", "banned", "all_banned", "choices", "nodes",
                  "depth", "prefixes", "max_nodes", "deadline", "poll_at")
 
     def __init__(self, l: int, n: int, restricted: bool, allow_equal: bool,
@@ -140,8 +147,11 @@ class _Searcher:
         self.n = n
         # pairs[y]: bit x for each forbidden (x, y, x + y); x <= y, so bans land above y.
         self.pairs = [0] * (n + 1)
+        self.forget = [True] * (n + 1)  # forget[v]: no later step reads bit v of members
         for x, y, _ in _triples(n, restricted, allow_equal):
             self.pairs[y] |= 1 << x
+            if y > x:
+                self.forget[x] = False
         self.members = [0] * l
         self.banned = [0] * l
         self.all_banned = partial(reduce, and_, self.banned)  # integers left no color
@@ -154,17 +164,27 @@ class _Searcher:
         self.deadline = None if max_seconds is None else time.perf_counter() + max_seconds
         self.poll_at = 1
 
-    def _poll(self, nodes: int) -> None:
+    def _poll(self, nodes: int, read_clock: bool = True) -> None:
         at = sys.maxsize
         if self.max_nodes is not None:
             if nodes > self.max_nodes:
-                raise BudgetExhausted(nodes)
+                self.nodes = self.max_nodes + 1
+                raise BudgetExhausted(self.nodes)
             at = self.max_nodes + 1
         if self.deadline is not None:
-            if nodes % 2048 == 0 and time.perf_counter() > self.deadline:
+            if read_clock and nodes % 2048 == 0 and time.perf_counter() > self.deadline:
+                self.nodes = nodes
                 raise BudgetExhausted(nodes)
             at = min(at, (nodes // 2048 + 1) * 2048)
         self.poll_at = at
+
+    def _reuse(self, count: int) -> None:
+        """Count a refuted twin subtree in one step, polling at its first poll point and its end."""
+        nodes = self.nodes + count
+        if nodes >= self.poll_at:
+            self._poll(self.poll_at)
+            self._poll(nodes, read_clock=False)
+        self.nodes = nodes
 
     def coloring(self) -> list[int]:
         """Colors of the integers assigned so far, from 1 upwards."""
@@ -210,6 +230,7 @@ class _Searcher:
         all_banned = self.all_banned
         pairs_v = self.pairs[v]
         bit = 1 << v
+        twin = None
         for c in self.choices[max_used + 1]:
             b = banned[c]
             if b & bit:
@@ -228,6 +249,14 @@ class _Searcher:
                 if not all_banned() and self._extend(v + 1, max_used if c <= max_used else c):
                     return True
                 banned[c] = b
+            elif c <= max_used and self.forget[v] and self.prefixes is None:
+                # A twin: the first one's refutation counts for the rest.
+                if twin is not None:
+                    self._reuse(twin)
+                elif self._extend(v + 1, max_used):
+                    return True
+                else:
+                    twin = self.nodes - nodes
             elif self._extend(v + 1, max_used if c <= max_used else c):
                 return True
             members[c] = m ^ bit
@@ -255,19 +284,18 @@ def exists_valid_coloring(
     """A coloring of {1..n} with no monochromatic forbidden triple, or None
     once the whole tree is exhausted.  Raises BudgetExhausted if a budget
     cuts the search before either outcome."""
-    _check_problem(l, max_nodes, max_seconds)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_problem(l, "n", n, max_nodes, max_seconds, threads)
     with _process_pool(threads) as pool:
         return _exists(l, n, restricted, allow_equal, max_nodes, max_seconds, pool)[0]
 
 
-def _check_problem(l: int, max_nodes: int | None, max_seconds: float | None) -> None:
-    """Reject l < 1 and budgets below 0; seconds must be finite.  None means no budget."""
-    if l < 1:
-        raise ValueError(f"color count must be >= 1, got {l}")
-    if max_nodes is not None and max_nodes < 0:
-        raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
+def _check_problem(l: int, n_name: str, n: int | None, max_nodes: int | None, max_seconds: float | None,
+                   threads: int) -> None:
+    """Reject counts below their least value and seconds below 0 or not finite; None is unbounded."""
+    for name, value, least in (("color count", l, 1), (n_name, n, 1), ("max_nodes", max_nodes, 0),
+                               ("threads", threads, 1)):
+        if value is not None and value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     if max_seconds is not None and not (isfinite(max_seconds) and max_seconds >= 0):
         raise ValueError(f"max_seconds must be finite and >= 0, got {max_seconds}")
 
@@ -352,7 +380,7 @@ def schur_number(
     those two, cached or new, as the key's entries: a witness for {1..n}
     covers every smaller n, a refutation of n every larger one.
     """
-    _check_problem(l, max_nodes, max_seconds)
+    _check_problem(l, "max_n", max_n, max_nodes, max_seconds, threads)
     start = time.perf_counter()
     deadline = None if max_seconds is None else start + max_seconds
     nodes_total = 0

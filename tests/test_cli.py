@@ -196,6 +196,18 @@ class TestSchur:
         assert (code, out) == (2, "")
         assert f"color count must be >= 1, got {colors}" in err
 
+    @pytest.mark.parametrize("max_n", ["0", "-4"])
+    def test_max_n_below_one_usage_error(self, capsys, max_n):
+        code, out, err = run(capsys, "schur", "--colors", "2", "--max-n", max_n)
+        assert (code, out) == (2, "")
+        assert f"max_n must be >= 1, got {max_n}" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_usage_error(self, capsys, threads):
+        code, out, err = run(capsys, "schur", "--colors", "2", "--threads", threads)
+        assert (code, out) == (2, "")
+        assert f"threads must be >= 1, got {threads}" in err
+
 
 class TestResidues:
     EXPECTED_CSV = (
@@ -232,6 +244,13 @@ class TestResidues:
         lines = out.strip().split("\n")
         assert lines[1] == "2,2,2,,true"
         assert lines[-1] == "max_r=,argmax_p="
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_usage_error(self, capsys, threads):
+        code, out, err = run(capsys, "residues", "--k", "2", "--m", "2", "--pmin", "7", "--pmax", "20",
+                             "--threads", threads)
+        assert (code, out) == (2, "")
+        assert f"threads must be >= 1, got {threads}" in err
 
     def test_json_summary(self, capsys):
         report = run_json(

@@ -170,6 +170,11 @@ class TestScan:
         with pytest.raises(ValueError):
             exceptional_primes(k, m, 2)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one(self, threads):
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            scan_primes(2, 2, 7, 50, threads=threads)
+
 
 class TestExceptionalPrimes:
     def test_quadratic_pairs_up_to_100(self):

@@ -217,6 +217,18 @@ class TestBudgetValidation:
         with pytest.raises(ValueError, match="must be"):
             exists_valid_coloring(3, 13, threads=threads, **budget)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            schur_number(2, threads=threads)
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            exists_valid_coloring(2, 5, threads=threads)
+
+    @pytest.mark.parametrize("max_n", [0, -4])
+    def test_max_n_below_one_rejected(self, max_n):
+        with pytest.raises(ValueError, match=f"max_n must be >= 1, got {max_n}"):
+            schur_number(2, max_n=max_n)
+
     def test_zero_node_budget_stays_valid(self):
         with pytest.raises(BudgetExhausted) as exc:
             exists_valid_coloring(3, 13, max_nodes=0)

@@ -8,6 +8,8 @@ because the branching order and the pruning are unchanged.
 
 import concurrent.futures
 import os
+import time
+from contextlib import suppress
 from concurrent.futures import ProcessPoolExecutor
 from itertools import product as iproduct
 
@@ -170,3 +172,73 @@ class TestParallelNodes:
         # 397 because the prefix enumeration of each witnessed n also
         # visits the prefixes after the witness cube.
         assert (seq.stats.nodes, par.stats.nodes) == (397, 449)
+
+
+class TestTwinReuse:
+    """Restricted cases where the kernel reuses the node count of a refuted
+    twin subtree instead of walking it again; the outcome, node count and
+    budget cut must still be the oracle's.  (At n = 100 with allow_equal
+    false the first witness comes before any reuse; n = 126 reuses.)"""
+
+    CASES = [(3, 112, True), (3, 100, False), (3, 126, False)]
+    BUDGETS = (1_000, 4_096, 20_000, 77_777, 200_000)
+
+    @pytest.mark.parametrize("l,n,allow_equal", CASES)
+    def test_matches_oracle(self, l, n, allow_equal):
+        for max_nodes in self.BUDGETS:
+            want = _outcome(_old, l, n, True, allow_equal, max_nodes)
+            got = _outcome(_new, l, n, True, allow_equal, max_nodes)
+            assert got == want, max_nodes
+
+    @pytest.mark.parametrize("l,n,allow_equal", [(3, 112, True), (3, 126, False)])
+    def test_reuse_skips_the_walk(self, monkeypatch, l, n, allow_equal):
+        calls = []
+        extend = schur_search._Searcher._extend
+
+        def counting(self, v, max_used):
+            calls.append(v)
+            return extend(self, v, max_used)
+
+        monkeypatch.setattr(schur_search._Searcher, "_extend", counting)
+        searcher = _new(l, n, True, allow_equal, 200_000)
+        with suppress(BudgetExhausted):
+            searcher.run(1, -1)
+        assert len(calls) < searcher.nodes / 10
+
+    def test_forgotten_levels(self):
+        # Restricted: v is read again iff v + 2v = 3v <= n.
+        searcher = _new(3, 30, True, True)
+        assert [v for v in range(1, 31) if not searcher.forget[v]] == list(range(1, 11))
+        # Classical: x is read again as long as some y > x has x + y <= n.
+        searcher = _new(3, 30, False, True)
+        assert [v for v in range(1, 31) if not searcher.forget[v]] == list(range(1, 15))
+
+    def test_deadline_stops_on_a_poll_point(self):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExhausted) as info:
+            exists_valid_coloring(3, 112, True, max_seconds=0.3)
+        assert time.perf_counter() - start < 2
+        assert info.value.nodes % 2048 == 0
+
+    def _at(self, nodes, max_nodes=None, max_seconds=None):
+        searcher = schur_search._Searcher(3, 112, True, True, max_nodes, max_seconds)
+        searcher.nodes = nodes
+        searcher._poll(nodes)
+        return searcher
+
+    def test_reuse_step_passing_the_node_limit(self):
+        searcher = self._at(5, max_nodes=10)
+        searcher._reuse(5)
+        assert searcher.nodes == 10
+        with pytest.raises(BudgetExhausted) as info:
+            searcher._reuse(100)
+        assert info.value.nodes == searcher.nodes == 11
+
+    def test_reuse_step_reads_the_clock_at_its_first_multiple_of_2048(self):
+        searcher = self._at(100, max_seconds=0)
+        with pytest.raises(BudgetExhausted) as info:
+            searcher._reuse(10**6)
+        assert info.value.nodes == searcher.nodes == 2048
+        searcher = self._at(100, max_seconds=60)
+        searcher._reuse(10**6)
+        assert (searcher.nodes, searcher.poll_at) == (10**6 + 100, 489 * 2048)
