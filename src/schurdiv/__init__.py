@@ -38,14 +38,11 @@ from .primes import (
     sieve,
 )
 from .ramsey import (
-    EdgeColoring,
     MonoTriangle,
     R3Info,
     SchurWitness,
     direct_schur_div_search,
-    edge_coloring_from_function,
     find_mono_triangle,
-    pentagon_two_coloring,
     r3_value_or_bound,
     witness_via_ramsey,
 )

@@ -53,7 +53,6 @@ from .sequences import (
     generate,
 )
 
-DEFAULT_SEED = 20240901
 DEFAULT_DIRECT_MAX_N = 10_000
 
 
@@ -63,8 +62,6 @@ class UsageError(Exception):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="schur-div", allow_abbrev=False)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed recorded for reproducibility (default %(default)s)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_seq = sub.add_parser("seq", help="generate a witness sequence")
@@ -109,13 +106,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _provenance(args: argparse.Namespace, keys: list[str]) -> dict:
-    params = {"seed": args.seed}
-    for key in keys:
-        params[key] = getattr(args, key.replace("-", "_"))
     return {
         "tool_version": __version__,
         "subcommand": args.subcommand,
-        "parameters": params,
+        "parameters": {key: getattr(args, key.replace("-", "_")) for key in keys},
     }
 
 
@@ -274,6 +268,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # Exact terms and Ramsey bounds may pass Python's int-to-str digit limit;
+    # lift it while the command runs and restore it for the caller.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return _HANDLERS[args.subcommand](args)
     except (
@@ -289,6 +288,9 @@ def main(argv: list[str] | None = None) -> int:
         # Bad parameter values (including coloring spec errors) are usage errors.
         print(f"schur-div: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

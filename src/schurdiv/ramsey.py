@@ -5,8 +5,9 @@ complete graph by the color of the block sum a(i) + ... + a(j-1) of the
 factorial witness sequence.  On R(3,...,3) vertices some triangle
 i < j < k is monochromatic, and its three block sums give x + y = z in
 one color class with x | y, courtesy of the sequence's divisibility
-chain.  The triangle search is plain brute force over all vertex
-triples, in lexicographic order, which is plenty at 17 vertices.
+chain.  The triangle search is plain brute force over vertex triples in
+lexicographic order.  It colors an edge only when it first reaches it,
+since 7 colors already need 13,701 vertices (93,851,850 edges).
 
 Block sums grow past anything materializable almost immediately, so edge
 colors are evaluated through modular reduction whenever the coloring
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from .coloring import Coloring, CosetColoring, OutOfDomainError, ResidueColoring
@@ -40,14 +40,11 @@ from .sequences import (
 )
 
 __all__ = [
-    "EdgeColoring",
     "MonoTriangle",
     "R3Info",
     "SchurWitness",
     "direct_schur_div_search",
-    "edge_coloring_from_function",
     "find_mono_triangle",
-    "pentagon_two_coloring",
     "r3_value_or_bound",
     "witness_via_ramsey",
 ]
@@ -78,36 +75,6 @@ def r3_value_or_bound(l: int) -> R3Info:
     return R3Info(l, v, False)
 
 
-class EdgeColoring:
-    """Total color assignment on the edges of a complete graph K_R."""
-
-    def __init__(self, vertex_count: int, colors):
-        if vertex_count < 1:
-            raise ValueError(f"vertex count must be >= 1, got {vertex_count}")
-        normalized = {}
-        for (i, j), c in dict(colors).items():
-            if not (1 <= i < j <= vertex_count):
-                raise ValueError(f"edge ({i},{j}) outside 1..{vertex_count}")
-            normalized[(i, j)] = int(c)
-        expected = vertex_count * (vertex_count - 1) // 2
-        if len(normalized) != expected:
-            raise ValueError(f"need all {expected} edges colored, got {len(normalized)}")
-        self.vertex_count = vertex_count
-        self.colors = MappingProxyType(normalized)
-
-    def color(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return self.colors[(i, j)]
-
-
-def edge_coloring_from_function(vertex_count: int, fn: Callable[[int, int], int]) -> EdgeColoring:
-    return EdgeColoring(
-        vertex_count,
-        {(i, j): fn(i, j) for i, j in combinations(range(1, vertex_count + 1), 2)},
-    )
-
-
 class MonoTriangle(NamedTuple):
     i: int
     j: int
@@ -115,20 +82,16 @@ class MonoTriangle(NamedTuple):
     color: int
 
 
-def find_mono_triangle(ec: EdgeColoring) -> MonoTriangle | None:
-    """Lexicographically smallest monochromatic triangle, or None."""
-    colors = ec.colors
-    for i, j, k in combinations(range(1, ec.vertex_count + 1), 3):
-        c = colors[(i, j)]
-        if colors[(i, k)] == c and colors[(j, k)] == c:
+def find_mono_triangle(vertex_count: int, color: Callable[[int, int], int]) -> MonoTriangle | None:
+    """Lexicographically smallest monochromatic triangle of K_vertex_count
+    under the edge coloring color(i, j), i < j, or None.  Each edge is
+    colored once, when the scan first reaches it, and the rest never."""
+    color = lru_cache(maxsize=None)(color)
+    for i, j, k in combinations(range(1, vertex_count + 1), 3):
+        c = color(i, j)
+        if color(i, k) == c and color(j, k) == c:
             return MonoTriangle(i, j, k, c)
     return None
-
-
-def pentagon_two_coloring() -> EdgeColoring:
-    """The 5-cycle / diagonals 2-coloring of K_5 with no monochromatic triangle."""
-    cycle = {(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)}
-    return edge_coloring_from_function(5, lambda i, j: 0 if (i, j) in cycle else 1)
 
 
 class SchurWitness(NamedTuple):
@@ -192,9 +155,7 @@ def witness_via_ramsey(coloring: Coloring) -> SchurWitness:
     witness records that through r_exact=False.
     """
     info = r3_value_or_bound(coloring.num_colors)
-    edge_color = _edge_color_function(coloring, info.vertices)
-    ec = edge_coloring_from_function(info.vertices, edge_color)
-    tri = find_mono_triangle(ec)
+    tri = find_mono_triangle(info.vertices, _edge_color_function(coloring, info.vertices))
     if tri is None:  # impossible below the Ramsey bound
         raise AssertionError(f"no monochromatic triangle on {info.vertices} vertices")
     i, j, k = tri.i, tri.j, tri.k

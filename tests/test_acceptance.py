@@ -19,7 +19,6 @@ from schurdiv import (
     is_kth_residue,
     min_consecutive_ones,
     parse_coloring_spec,
-    pentagon_two_coloring,
     residue_run_start,
     schur_number,
     scan_primes,
@@ -27,7 +26,6 @@ from schurdiv import (
     witness_via_ramsey,
 )
 from schurdiv.primes import sieve
-from schurdiv.ramsey import EdgeColoring
 from schurdiv.residues import summarize_reports
 from schurdiv.sequences import FACTORIAL
 
@@ -124,7 +122,7 @@ def test_criterion_4_witnesses_both_routes():
     report("4 witnesses via both routes", ok, "; ".join(details))
 
 
-def test_criterion_5_ramsey_constants():
+def test_criterion_5_ramsey_constants(pentagon_color):
     edges = list(combinations(range(1, 7), 2))
     triangles = [
         (edges.index((i, j)), edges.index((i, k)), edges.index((j, k)))
@@ -139,14 +137,11 @@ def test_criterion_5_ramsey_constants():
         ):
             all_forced = False
             break
-    pentagon_clean = find_mono_triangle(pentagon_two_coloring()) is None
+    pentagon_clean = find_mono_triangle(5, pentagon_color) is None
     elapsed = time.perf_counter() - start
     # spot-check the package's own triangle finder against the sweep
     sample_ok = all(
-        find_mono_triangle(
-            EdgeColoring(6, {e: (mask >> idx) & 1 for idx, e in enumerate(edges)})
-        )
-        is not None
+        find_mono_triangle(6, lambda i, j: (mask >> edges.index((i, j))) & 1) is not None
         for mask in range(0, 1 << 15, 101)
     )
     ok = all_forced and pentagon_clean and sample_ok and elapsed < 5.0

@@ -1,13 +1,16 @@
 import concurrent.futures
+import contextlib
 import json
 import math
 import os
+import sys
 
 import pytest
 
 import schurdiv.cli
 from schurdiv import __version__, is_prime, residues, scan_primes
-from schurdiv.cli import DEFAULT_SEED, main
+from schurdiv import generate, r3_value_or_bound
+from schurdiv.cli import main
 
 
 def run(capsys, *argv):
@@ -20,6 +23,37 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def int_str_limit():
+    """Python's int-to-str digit limit, or None where there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+# Python's own default (4300 digits since 3.11), None where there is no limit.
+DEFAULT_INT_STR_LIMIT = getattr(sys.int_info, "default_max_str_digits", None)
+
+
+@contextlib.contextmanager
+def int_str_limit_set(digits):
+    """Inside the block the int-to-str limit is `digits` (0 lifts it)."""
+    old = int_str_limit()
+    if old is not None:
+        sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
+
+
+def run_unlimited(capsys, *argv):
+    """Stdout of a command whose report holds integers past the default
+    int-to-str limit; main must lift that limit and then restore it."""
+    with int_str_limit_set(DEFAULT_INT_STR_LIMIT):
+        code, out, err = run(capsys, *argv)
+        assert (code, int_str_limit()) == (0, DEFAULT_INT_STR_LIMIT), err
+    return out
 
 
 class TestSeq:
@@ -48,6 +82,21 @@ class TestSeq:
         _, out1, _ = run(capsys, "seq", "--kind", "factorial", "--count", "4")
         _, out2, _ = run(capsys, "seq", "--kind", "factorial", "--count", "4")
         assert out1 == out2
+
+    @pytest.mark.parametrize("count", [9, 10])
+    def test_terms_past_the_int_str_digit_limit(self, capsys, count):
+        # Term 9 of the product sequence has over 4,300 digits, the default
+        # int-to-str limit of Python 3.11+.
+        out = run_unlimited(capsys, "seq", "--kind", "product", "--count", str(count))
+        with int_str_limit_set(0):
+            terms = [str(t) for t in generate("product", count).terms]
+            assert json.loads(out)["terms"] == terms
+        assert len(terms[8]) > 4300
+
+    def test_failing_command_restores_the_int_str_limit(self, capsys):
+        with int_str_limit_set(DEFAULT_INT_STR_LIMIT):
+            assert run(capsys, "seq", "--kind", "factorial", "--count", "6")[0] == 1
+            assert int_str_limit() == DEFAULT_INT_STR_LIMIT
 
     def test_canonical_json(self, capsys):
         _, out, _ = run(capsys, "seq", "--kind", "factorial", "--count", "3")
@@ -112,11 +161,11 @@ class TestWitness:
 # character-based one must reproduce them byte for byte.
 COSET_1000003_3_GOLDEN = {
     "ramsey": '{"color":0,"found":true,"parameters":{"coloring":"coset:1000003:3",'
-    '"max-n":null,"seed":20240901,"via":"ramsey"},"quotient":"8","r_exact":false,'
+    '"max-n":null,"via":"ramsey"},"quotient":"8","r_exact":false,'
     '"r_vertices":66,"subcommand":"witness","tool_version":"0.1.0","triangle":[2,4,5],'
     '"via":"ramsey-construction","x":"3","y":"24","z":"27"}\n',
     "direct": '{"color":0,"found":true,"parameters":{"coloring":"coset:1000003:3",'
-    '"max-n":null,"seed":20240901,"via":"direct"},"quotient":"8","subcommand":"witness",'
+    '"max-n":null,"via":"direct"},"quotient":"8","subcommand":"witness",'
     '"tool_version":"0.1.0","via":"direct-search","x":"1","y":"8","z":"9"}\n',
 }
 
@@ -143,9 +192,16 @@ class TestRamsey:
         code, out, _ = run(capsys, "ramsey", "--colors", "4")
         assert code == 0
         assert out == (
-            '{"colors":4,"exact":false,"parameters":{"colors":4,"seed":20240901},'
+            '{"colors":4,"exact":false,"parameters":{"colors":4},'
             '"subcommand":"ramsey","tool_version":"0.1.0","vertices":66}\n'
         )
+
+    def test_bound_past_the_int_str_digit_limit(self, capsys):
+        out = run_unlimited(capsys, "ramsey", "--colors", "2000")
+        with int_str_limit_set(0):
+            vertices = json.loads(out)["vertices"]
+            assert vertices == r3_value_or_bound(2000).vertices
+            assert len(str(vertices)) > 4300
 
 
 class TestSchur:
@@ -290,7 +346,7 @@ class TestResidues:
         report = {
             "tool_version": __version__,
             "subcommand": "residues",
-            "parameters": {"seed": DEFAULT_SEED, "k": k, "m": m, "pmin": pmin, "pmax": pmax,
+            "parameters": {"k": k, "m": m, "pmin": pmin, "pmax": pmax,
                            "format": fmt, "threads": threads},
             "reports": [{"p": p, "r": r, "exceptional": r is None} for p, r in reports],
             "summary": {"k": k, "m": m, "p_min": pmin, "p_max": pmax, "max_r": max_r,
@@ -390,6 +446,10 @@ class TestMult:
 
 
 class TestUsage:
+    def test_seed_flag_is_gone(self, capsys):
+        code, _, _ = run(capsys, "--seed", "1", "ramsey", "--colors", "3")
+        assert code == 2
+
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "seq", "--kind", "factorial", "--count", "3", "--wat")
         assert code == 2

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -7,12 +8,9 @@ import pytest
 from schurdiv.coloring import ExplicitColoring, parse_coloring_spec, unity_coloring
 from schurdiv.multiplicative import UnityFunction
 from schurdiv.ramsey import (
-    EdgeColoring,
     EvaluationInfeasibleError,
     direct_schur_div_search,
-    edge_coloring_from_function,
     find_mono_triangle,
-    pentagon_two_coloring,
     r3_value_or_bound,
     witness_via_ramsey,
 )
@@ -26,6 +24,12 @@ def brute_first_mono_triangle(vertex_count, edge_color):
         if edge_color(i, j) == edge_color(i, k) == edge_color(j, k):
             return (i, j, k, edge_color(i, j))
     return None
+
+
+def mask_color(mask):
+    """The 2-coloring of K_6 whose edge number idx (lexicographic) is bit idx of mask."""
+    index = {e: idx for idx, e in enumerate(combinations(range(1, 7), 2))}
+    return lambda i, j: (mask >> index[(i, j)]) & 1
 
 
 class TestR3:
@@ -43,40 +47,48 @@ class TestR3:
             r3_value_or_bound(0)
 
 
-class TestEdgeColoring:
-    def test_requires_every_edge(self):
-        with pytest.raises(ValueError):
-            EdgeColoring(3, {(1, 2): 0, (1, 3): 0})
-
-    def test_rejects_out_of_range_edges(self):
-        with pytest.raises(ValueError):
-            EdgeColoring(3, {(1, 2): 0, (1, 3): 0, (2, 3): 0, (1, 4): 0})
-
-    def test_color_lookup_symmetric(self):
-        ec = edge_coloring_from_function(4, lambda i, j: (i + j) % 2)
-        assert ec.color(4, 2) == ec.color(2, 4) == 0
-
-
 class TestMonoTriangle:
     def test_parity_sum_k6(self):
         fn = lambda i, j: (i + j) % 2
-        ec = edge_coloring_from_function(6, fn)
-        got = find_mono_triangle(ec)
-        assert tuple(got) == brute_first_mono_triangle(6, fn) == (1, 3, 5, 0)
+        assert tuple(find_mono_triangle(6, fn)) == brute_first_mono_triangle(6, fn) == (1, 3, 5, 0)
 
-    def test_pentagon_has_none(self):
-        assert find_mono_triangle(pentagon_two_coloring()) is None
+    def test_pentagon_has_none(self, pentagon_color):
+        assert find_mono_triangle(5, pentagon_color) is None
 
     def test_single_color_k3(self):
-        ec = edge_coloring_from_function(3, lambda i, j: 0)
-        assert tuple(find_mono_triangle(ec)) == (1, 2, 3, 0)
+        assert tuple(find_mono_triangle(3, lambda i, j: 0)) == (1, 2, 3, 0)
 
     def test_sampled_two_colorings_of_k6_all_forced(self):
         # full 2^15 sweep lives in the acceptance suite; spot-check here
-        edges = list(combinations(range(1, 7), 2))
         for mask in range(0, 1 << 15, 37):
-            coloring = {e: (mask >> idx) & 1 for idx, e in enumerate(edges)}
-            assert find_mono_triangle(EdgeColoring(6, coloring)) is not None
+            assert find_mono_triangle(6, mask_color(mask)) is not None
+
+    def test_every_two_coloring_of_k6_matches_the_oracle(self):
+        for mask in range(1 << 15):
+            color = mask_color(mask)
+            got = find_mono_triangle(6, color)
+            assert got is not None and tuple(got) == brute_first_mono_triangle(6, color), mask
+
+    def test_each_edge_colored_at_most_once(self):
+        rule = lambda i, j: (i * j) % 3
+        calls = []
+
+        def color(i, j):
+            calls.append((i, j))
+            return rule(i, j)
+
+        # (1, 3, 6) is first, after the scan has met edge (1, 3) twice.
+        assert tuple(find_mono_triangle(9, color)) == brute_first_mono_triangle(9, rule) == (1, 3, 6, 0)
+        assert len(calls) == len(set(calls))
+        assert all(1 <= i < j <= 9 for i, j in calls)
+
+    def test_edges_past_the_first_triangle_are_never_colored(self):
+        def color(i, j):
+            if j == 6:
+                raise AssertionError(f"edge ({i},{j}) colored")
+            return 2
+
+        assert tuple(find_mono_triangle(6, color)) == (1, 2, 3, 2)
 
 
 class TestWitnessViaRamsey:
@@ -138,6 +150,16 @@ class TestWitnessViaRamsey:
         for a, b in (w.x_span, w.y_span, w.z_span):
             residue = interval_sum_mod(FACTORIAL, a, b, 29)
             assert coloring.class_map[residue] == w.color
+
+    def test_seven_colors_color_edges_on_demand(self):
+        # The 7-color bound has 13,701 vertices and 93,851,850 edges, more
+        # than a table of every edge could fill in the time allowed.
+        start = time.perf_counter()
+        w = witness_via_ramsey(parse_coloring_spec("mod:7:0,1,2,3,4,5,6"))
+        assert time.perf_counter() - start < 5.0
+        assert (w.r_vertices, w.r_exact) == (13701, False)
+        assert w.triangle == (1, 5, 6) and w.x == 28
+        assert w.x + w.y == w.z and w.y % w.x == 0
 
     def test_four_colors_use_recursive_bound(self):
         coloring = parse_coloring_spec("mod:4:0,1,2,3")
