@@ -4,7 +4,8 @@ A function here is determined by an exponent in Z_k for every prime
 (unlisted primes fall back to a default exponent); the value at n is the
 exponent sum over the prime factorization of n.  Values are always
 handled as exponents, never as floating-point complex numbers, so
-f(a) = 1 reads as exponent 0.
+f(a) = 1 reads as exponent 0.  `min_consecutive_ones` walks f(r) = f(q) +
+f(r/q) over `primes.smallest_prime_factors`, factorizing only past it.
 
 Any such function partitions the positive integers into at most k color
 classes.  Every k-coloring of {1..B} contains a monochromatic triple
@@ -19,7 +20,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .primes import factorize, is_prime
+from .primes import factorize, is_prime, smallest_prime_factors
 
 __all__ = [
     "ConsecutiveOnesWitness",
@@ -64,21 +65,25 @@ def evaluate(f: UnityFunction, n: int) -> int:
     """Exponent of f(n) in {0..k-1}; f(1) is exponent 0."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    total = 0
-    for p, e in factorize(n):
-        total += e * f.exponent_of(p)
-    return total % f.k
+    return sum(e * f.exponent_of(p) for p, e in factorize(n)) % f.k
 
 
 def min_consecutive_ones(f: UnityFunction, search_bound: int) -> int | None:
     """Minimal a <= search_bound with f(a) = f(a+1) = 1, or None."""
     if search_bound < 1:
         raise ValueError(f"search_bound must be >= 1, got {search_bound}")
-    prev = evaluate(f, 1)
-    for a in range(1, search_bound + 1):
-        cur = evaluate(f, a + 1)
+    spf = smallest_prime_factors()
+    values = [0, 0]  # values[r] = exponent of f(r), appended for each r in the table
+    prev = 0  # f(1)
+    for r in range(2, search_bound + 2):
+        if r < len(spf):
+            q = spf[r]
+            cur = f.exponent_of(r) if q == r else (values[q] + values[r // q]) % f.k
+            values.append(cur)
+        else:
+            cur = evaluate(f, r)
         if prev == 0 and cur == 0:
-            return a
+            return r - 1
         prev = cur
     return None
 
@@ -103,6 +108,8 @@ def verify_consecutive_ones_bound(f: UnityFunction, restricted_schur_bound: int)
     from .coloring import unity_coloring
     from .ramsey import direct_schur_div_search
 
+    if restricted_schur_bound < 1:
+        raise ValueError(f"restricted_schur_bound must be >= 1, got {restricted_schur_bound}")
     witness = direct_schur_div_search(unity_coloring(f), restricted_schur_bound)
     if witness is None:
         raise RuntimeError(

@@ -3,6 +3,8 @@
 Shared arithmetic plumbing: residue scanners iterate primes from a
 segmented sieve, coset colorings validate the primality of their modulus,
 and the multiplicative-function evaluator factorizes small integers.
+`smallest_prime_factors` is the one least-prime-factor table (n < 4096);
+both run finders walk it, as g(r) = g(q) * g(r/q) for multiplicative g.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ __all__ = [
     "prime_table",
     "primes_in_range",
     "sieve",
+    "smallest_prime_factors",
 ]
 
 # Witnesses making Miller-Rabin deterministic for n < 3.3 * 10**24.
@@ -80,6 +83,15 @@ def is_prime(n: int) -> bool:
 def prime_table(limit: int) -> tuple[int, ...]:
     """Cached ascending prime tuple for repeated trial division."""
     return tuple(sieve(limit))
+
+
+@lru_cache(maxsize=1)
+def smallest_prime_factors() -> tuple[int, ...]:
+    """Least prime factor of each n < 4096 (0, 1 map to themselves); fixed, so no bound sets its size."""
+    spf = list(range(1 << 12))
+    for q in reversed(sieve(isqrt(len(spf) - 1))):  # smaller q overwrite larger
+        spf[q * q :: q] = [q] * len(spf[q * q :: q])
+    return tuple(spf)
 
 
 def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> list[tuple[int, int]]:

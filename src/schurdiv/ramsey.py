@@ -11,8 +11,8 @@ since 7 colors already need 13,701 vertices (93,851,850 edges).
 
 Block sums grow past anything materializable almost immediately, so edge
 colors are evaluated through modular reduction whenever the coloring
-rule reduces modulo something; for other rules the construction only
-runs when the sums stay inside the first five terms.  Witness values are
+rule reduces modulo something; other rules fail at the first edge the
+scan reaches whose sum needs a term past the fifth.  Witness values are
 reported exactly when the triangle sits low enough, and as (i, j) span
 descriptors otherwise.
 
@@ -120,7 +120,7 @@ class SchurWitness(NamedTuple):
         return self.x is not None
 
 
-def _edge_color_function(coloring: Coloring, vertex_count: int) -> Callable[[int, int], int]:
+def _edge_color_function(coloring: Coloring) -> Callable[[int, int], int]:
     """Color of the block sum a(i..j-1) as a function of the edge (i, j)."""
     if isinstance(coloring, (ResidueColoring, CosetColoring)):
         m = coloring.modulus
@@ -128,14 +128,14 @@ def _edge_color_function(coloring: Coloring, vertex_count: int) -> Callable[[int
             return lambda i, j: coloring.color_of_residue(interval_sum_mod(FACTORIAL, i, j, m))
         # A 1-modulus residue rule is a single color; sums are irrelevant.
         return lambda i, j: coloring.class_map[0]
-    if vertex_count - 1 > _MATERIALIZABLE_TERMS:
-        raise EvaluationInfeasibleError(
-            f"coloring rule {type(coloring).__name__} cannot evaluate block sums on "
-            f"{vertex_count} vertices; only modular rules reach that deep"
-        )
-    seq = generate(FACTORIAL, vertex_count - 1)
+    seq = generate(FACTORIAL, _MATERIALIZABLE_TERMS)
 
     def color(i: int, j: int) -> int:
+        if j - 1 > _MATERIALIZABLE_TERMS:
+            raise EvaluationInfeasibleError(
+                f"coloring rule {type(coloring).__name__} cannot evaluate the block sum of "
+                f"edge ({i}, {j}): it needs term {j - 1}; only modular rules reach that deep"
+            )
         value = interval_sum(seq, i, j)
         try:
             return coloring.color_of(value)
@@ -155,7 +155,7 @@ def witness_via_ramsey(coloring: Coloring) -> SchurWitness:
     witness records that through r_exact=False.
     """
     info = r3_value_or_bound(coloring.num_colors)
-    tri = find_mono_triangle(info.vertices, _edge_color_function(coloring, info.vertices))
+    tri = find_mono_triangle(info.vertices, _edge_color_function(coloring))
     if tri is None:  # impossible below the Ramsey bound
         raise AssertionError(f"no monochromatic triangle on {info.vertices} vertices")
     i, j, k = tri.i, tri.j, tri.k

@@ -8,9 +8,9 @@ answers one query with one modular exponentiation.
 consists entirely of k-th power residues below p; primes with no such
 run are exceptional.  Its kernel walks r upwards and never exponentiates
 a composite: chi is completely multiplicative, so chi(r) = chi(q) *
-chi(r/q) mod p for the smallest prime factor q of r, read from a small
-table built on first use.  Only prime r (and r past the table) pay a
-`pow`, and when d = 1 every unit is a residue, so no `pow` runs at all.
+chi(r/q) mod p for the smallest prime factor q of r, read from the table
+`primes.smallest_prime_factors`.  Only prime r (and r past the table) pay
+a `pow`, and when d = 1 every unit is a residue, so no `pow` runs at all.
 `scan_primes` sweeps a prime range and `lambda_estimate` aggregates the
 running maximum of those run starts — a range-limited empirical view of
 a quantity whose true supremum ranges over all non-exceptional primes.
@@ -31,12 +31,11 @@ k-th power residues.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 from typing import NamedTuple
 
 from .coloring import coset_coloring
-from .primes import is_prime, primes_in_range
+from .primes import is_prime, primes_in_range, smallest_prime_factors
 from .ramsey import SchurWitness, direct_schur_div_search
 from .schur_search import _process_pool
 
@@ -94,33 +93,18 @@ def _exponent(p: int, k: int) -> int:
     return (p - 1) // gcd(k, p - 1)
 
 
-# Smallest prime factors of 0..4095; run starts of scanned primes stay far
-# below this, and larger r fall back to one `pow` each.
-_SPF_LIMIT = 1 << 12
-
-
-@lru_cache(maxsize=1)
-def _smallest_prime_factors() -> tuple[int, ...]:
-    spf = list(range(_SPF_LIMIT))
-    for q in range(2, isqrt(_SPF_LIMIT - 1) + 1):
-        if spf[q] == q:
-            for multiple in range(q * q, _SPF_LIMIT, q):
-                if spf[multiple] == multiple:
-                    spf[multiple] = q
-    return tuple(spf)
-
-
 def _run_start(p: int, k: int, m: int) -> int | None:
     """`residue_run_start` for a p known to be prime and k, m >= 1."""
     exponent = _exponent(p, k)
     if exponent == p - 1 or m == 1:
         # d = 1 makes every unit a residue; and 1 itself always is one.
         return 1 if m <= p - 1 else None
-    spf = _smallest_prime_factors()
-    chi = [0, 1]  # chi[r] = r^exponent mod p, appended for each r < _SPF_LIMIT
+    spf = smallest_prime_factors()
+    size = len(spf)
+    chi = [0, 1]  # chi[r] = r^exponent mod p, appended for each r < size
     run = 1
     for r in range(2, p):
-        if r < _SPF_LIMIT:
+        if r < size:
             q = spf[r]
             c = pow(r, exponent, p) if q == r else chi[q] * chi[r // q] % p
             chi.append(c)

@@ -131,9 +131,7 @@ def _generate_factorial(count: int, budget: int) -> list[int]:
     while len(terms) < count:
         est = _digits_of_factorial(running)
         index = len(terms) + 1
-        if digits_used + est > budget:
-            raise SequenceBudgetError(FACTORIAL, index, est, budget)
-        if running > _FACTORIAL_ARG_CAP:
+        if digits_used + est > budget or running > _FACTORIAL_ARG_CAP:
             raise SequenceBudgetError(FACTORIAL, index, est, budget)
         term = math.factorial(running)
         terms.append(term)
@@ -276,10 +274,8 @@ def interval_sum_mod(kind: str, i: int, j: int, m: int) -> int:
         raise IndexError(f"need 1 <= i < j, got i={i}, j={j}")
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    total = 0
-    for n in range(i, min(j, 7)):
-        total += _factorial_term_mod(n, m)
-    if j > 7 and i < j:
+    total = sum(_factorial_term_mod(n, m) for n in range(i, min(j, 7)))
+    if j > 7:
         # Terms 7.. are zero mod m whenever term 6 was; probe once.
         _factorial_term_mod(max(i, 7), m)
     return total % m

@@ -118,6 +118,11 @@ class TestWitness:
         assert report["triangle"] == [1, 3, 4]
         assert report["r_vertices"] == 6 and report["r_exact"] is True
 
+    def test_ramsey_unity_stops_at_a_shallow_triangle(self, capsys):
+        report = run_json(capsys, "witness", "--coloring", "unity:3:", "--via", "ramsey")
+        assert (report["x"], report["y"], report["z"]) == ("1", "1", "2")
+        assert report["triangle"] == [1, 2, 3]
+
     def test_ramsey_symbolic_spans(self, capsys):
         spec = "mod:29:" + ",".join(str(i % 3) for i in range(29))
         report = run_json(capsys, "witness", "--coloring", spec, "--via", "ramsey")
@@ -432,6 +437,11 @@ class TestMult:
     def test_prime_assignments(self, capsys):
         report = run_json(capsys, "mult", "--k", "2", "--primes", "2=1", "--bound", "10")
         assert report["minimal_a"] == 3
+
+    def test_verify_bound_below_one_usage_error(self, capsys):
+        code, out, err = run(capsys, "mult", "--k", "2", "--verify-s-prime", "0")
+        assert (code, out) == (2, "")
+        assert "restricted_schur_bound must be >= 1, got 0" in err
 
     def test_bad_primes_usage_error(self, capsys):
         code, _, err = run(capsys, "mult", "--k", "2", "--primes", "4=1")

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+from schurdiv import multiplicative
 from schurdiv.multiplicative import (
     UnityFunction,
     evaluate,
     min_consecutive_ones,
     verify_consecutive_ones_bound,
 )
-from schurdiv.primes import FactorizationBudgetError
+from schurdiv.primes import FactorizationBudgetError, smallest_prime_factors
 
 
 def brute_exponent(f, n):
@@ -88,6 +89,73 @@ class TestMinConsecutiveOnes:
 
     def test_not_found_is_none(self):
         assert min_consecutive_ones(LIOUVILLE, 8) is None
+
+
+def brute_min_consecutive_ones(f, bound):
+    """Oracle: the definition, through `evaluate` at a and a + 1."""
+    for a in range(1, bound + 1):
+        if evaluate(f, a) == 0 and evaluate(f, a + 1) == 0:
+            return a
+    return None
+
+
+# Bounds on both sides of the factor table's end (4096).
+WALK_BOUNDS = (1, 2, 4094, 4095, 4096, 4200)
+
+
+@pytest.fixture(scope="module")
+def walk_cases():
+    """(f, first pair up to 4200) for random functions with k = 1..6, plus
+    one whose first pair lies past the table and one with none at all."""
+    rng = random.Random(7)
+    functions = [UnityFunction(6, {2: 3, 3: 1}, 1), UnityFunction(6, {2: 1, 3: 0}, 1)]
+    for k in range(1, 7):
+        for _ in range(8):
+            functions.append(UnityFunction(k, {p: rng.randrange(k) for p in (2, 3, 5)}, rng.randrange(k)))
+    cases = [(f, brute_min_consecutive_ones(f, max(WALK_BOUNDS))) for f in functions]
+    assert cases[0][1] == 4130 and cases[1][1] is None
+    return cases
+
+
+class TestMinConsecutiveOnesWalk:
+    """`min_consecutive_ones` walks the shared smallest-prime-factor table."""
+
+    @staticmethod
+    def check(cases):
+        for f, first in cases:
+            for bound in WALK_BOUNDS:
+                want = first if first is not None and first <= bound else None
+                assert min_consecutive_ones(f, bound) == want, (f, bound)
+
+    def test_matches_evaluate(self, walk_cases):
+        self.check(walk_cases)
+
+    def test_evaluate_fallback_past_the_factor_table(self, monkeypatch, walk_cases):
+        table = smallest_prime_factors()[:16]
+        monkeypatch.setattr(multiplicative, "smallest_prime_factors", lambda: table)
+        self.check(walk_cases)
+
+    def test_first_pair_past_the_table(self):
+        assert min_consecutive_ones(UnityFunction(7, {}, 1), 40000) == 29888
+
+    def test_evaluates_only_past_the_table(self, monkeypatch):
+        seen = []
+
+        def refuse(*args):
+            raise AssertionError(f"factorize or evaluate called with {args}")
+
+        def recording(f, n):
+            seen.append(n)
+            return evaluate(f, n)
+
+        monkeypatch.setattr(multiplicative, "factorize", refuse)
+        monkeypatch.setattr(multiplicative, "evaluate", refuse)
+        assert min_consecutive_ones(UnityFunction(7, {}, 1), 4094) is None
+        assert min_consecutive_ones(LIOUVILLE, 20) == 9
+        monkeypatch.undo()
+        monkeypatch.setattr(multiplicative, "evaluate", recording)
+        assert min_consecutive_ones(UnityFunction(7, {}, 1), 4096) is None
+        assert seen == [4096, 4097]
 
 
 class TestBoundPipeline:

@@ -9,6 +9,7 @@ from schurdiv.primes import (
     is_prime,
     primes_in_range,
     sieve,
+    smallest_prime_factors,
 )
 
 
@@ -119,6 +120,13 @@ def test_factorize_sizes_its_table_to_n(monkeypatch):
     limits.clear()
     factorize(2**61 - 1)
     assert limits == [primes.DEFAULT_FACTOR_BOUND]
+
+
+def test_smallest_prime_factors_match_factorize():
+    spf = smallest_prime_factors()
+    assert len(spf) == 4096 and spf[:2] == (0, 1)
+    for n in range(2, 4096):
+        assert spf[n] == factorize(n)[0][0], n
 
 
 def test_factorize_rejects_nonpositive():

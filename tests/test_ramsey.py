@@ -194,9 +194,15 @@ class TestWitnessViaRamsey:
         assert {coloring.color_of(v) for v in (w.x, w.y, w.z)} == {w.color}
 
     def test_unity_three_colors_infeasible(self):
-        # 17 vertices reach block sums past the materializable terms
-        with pytest.raises(EvaluationInfeasibleError):
+        # the scan of 17 vertices reaches a block sum past the materializable terms
+        with pytest.raises(EvaluationInfeasibleError, match=r"edge \(1, 7\)"):
             witness_via_ramsey(unity_coloring(UnityFunction(3, {2: 1}, 0)))
+
+    def test_unity_three_colors_shallow_triangle(self):
+        # every value is 1, so (1, 2, 3) is monochromatic before any deep edge
+        w = witness_via_ramsey(unity_coloring(UnityFunction(3, {})))
+        assert (w.triangle, w.r_vertices, w.r_exact) == ((1, 2, 3), 17, True)
+        assert (w.x, w.y, w.z) == (1, 1, 2)
 
     def test_unity_single_color_works(self):
         w = witness_via_ramsey(unity_coloring(UnityFunction(1, {})))

@@ -1,7 +1,7 @@
 import pytest
 
 from schurdiv import residues as residues_module
-from schurdiv.primes import sieve
+from schurdiv.primes import sieve, smallest_prime_factors
 from schurdiv.residues import (
     consecutive_pair_via_triple,
     exceptional_primes,
@@ -101,7 +101,8 @@ class TestRunStartKernel:
                     assert residues_module._run_start(p, k, m) == want, (p, k, m)
 
     def test_pow_fallback_past_the_factor_table(self, monkeypatch):
-        monkeypatch.setattr(residues_module, "_SPF_LIMIT", 16)
+        table = smallest_prime_factors()[:16]
+        monkeypatch.setattr(residues_module, "smallest_prime_factors", lambda: table)
         for p in sieve(400):
             for k in (2, 3, 4, 6):
                 residues = brute_residue_set(p, k)
