@@ -42,7 +42,7 @@ def main():
 
     print("\nBut block sums modulo m never need it:")
     for i, j, m in ((1, 17, 7), (5, 6, 29), (9, 14, 97)):
-        print(f"  sum({i}..{j - 1}) mod {m} = {interval_sum_mod(FACTORIAL, i, j, m)}")
+        print(f"  sum({i}..{j - 1}) mod {m} = {interval_sum_mod(i, j, m)}")
 
     print("\n== product kind: multiply every block sum seen so far ==")
     prod = generate(PRODUCT, 6)

@@ -149,6 +149,8 @@ def _cmd_witness(args) -> int:
     out = _provenance(args, ["coloring", "via", "max-n"])
     route = {}
     if args.via == "ramsey":
+        if args.max_n is not None:
+            raise UsageError("--max-n applies only to --via direct")
         w = witness_via_ramsey(coloring)
         route = {"triangle": w.triangle, "r_vertices": w.r_vertices, "r_exact": w.r_exact}
     else:

@@ -125,7 +125,7 @@ def _edge_color_function(coloring: Coloring) -> Callable[[int, int], int]:
     if isinstance(coloring, (ResidueColoring, CosetColoring)):
         m = coloring.modulus
         if m >= 2:
-            return lambda i, j: coloring.color_of_residue(interval_sum_mod(FACTORIAL, i, j, m))
+            return lambda i, j: coloring.color_of_residue(interval_sum_mod(i, j, m))
         # A 1-modulus residue rule is a single color; sums are irrelevant.
         return lambda i, j: coloring.class_map[0]
     seq = generate(FACTORIAL, _MATERIALIZABLE_TERMS)

@@ -1,13 +1,13 @@
 """Exact Schur-style numbers by depth-first search with bitset propagation.
 
-The monochromatic patterns to avoid are x + y = z with x <= y, optionally
-strengthened by x | y.  `_triples` is their one definition, in (z, x)
-order, and a restricted z only tries its divisors up to z/2 (x | y iff
-x | z).  `forbidden_triples`, `validate_coloring`, the solver's pair
-table and `ramsey.direct_schur_div_search` all read it.  The solver
-assigns colors to 1, 2, 3, ... in natural order, keeping per color c two
-bitsets over 1..n: members[c], and banned[c], the integers c would
-complete a forbidden triple on.  Assigning v to c ORs
+The monochromatic patterns to avoid are x + y = z with x <= y (x = y
+included), optionally strengthened by x | y.  `_triples` is their one
+definition, in (z, x) order, and a restricted z only tries its divisors
+up to z/2 (x | y iff x | z).  `forbidden_triples`, `validate_coloring`,
+the solver's pair table and `ramsey.direct_schur_div_search` all read
+it.  The solver assigns colors to 1, 2, 3, ... in natural order, keeping
+per color c two bitsets over 1..n: members[c], and banned[c], the
+integers c would complete a forbidden triple on.  Assigning v to c ORs
 `(members[c] & pairs[v]) << v` into banned[c]; the branch dies once all
 banned sets share a bit.  Undo restores banned[c] and clears bit v of
 members[c].  Seeding a prefix, enumerating prefixes and the search all
@@ -38,12 +38,13 @@ process, where the budget is polled exactly.
 `concurrent.futures` is imported by `_process_pool` on the first
 threaded call, so a single-process run never loads multiprocessing.
 
-The cache is keyed by the whole problem (l, restricted, allow_equal)
-and keeps per key only what decides it: the largest witness and the
-least refutation.  A save re-reads the file, so runs sharing it keep
-each other's entries.  It is evidence, not trusted: every witness read
-back is revalidated, and a refutation at or below a witnessed n is
-rejected with `CacheError`.
+The cache is keyed by the whole problem (l, restricted) and keeps per
+key only what decides it: the largest witness and the least refutation.
+A save re-reads the file, so runs sharing it keep each other's entries.
+It is evidence, not trusted: every witness read back is revalidated,
+and a refutation at or below a witnessed n is rejected with
+`CacheError`.  An entry marked as written for x < y belongs to another
+problem: it is never read, checked or rewritten.
 """
 
 from __future__ import annotations
@@ -98,10 +99,10 @@ class CacheError(RuntimeError):
     valid coloring, or a refutation contradicted by a witness."""
 
 
-def _triples(n: int, restricted: bool, allow_equal: bool = True) -> Iterator[tuple[int, int, int]]:
-    """Every (x, y, z) with x + y = z <= n and x <= y, in (z, x) order;
-    allow_equal=False drops x = y.  Restricted triples also need x | y, that is
-    x | z: x runs over the divisors d <= sqrt(z), then z/d for 1 < d < z/d."""
+def _triples(n: int, restricted: bool) -> Iterator[tuple[int, int, int]]:
+    """Every (x, y, z) with x + y = z <= n and x <= y, in (z, x) order.
+    Restricted triples also need x | y, that is x | z: x runs over the
+    divisors d <= sqrt(z), then z/d for 1 < d < z/d."""
     for z in range(2, n + 1):
         if restricted:
             small = [d for d in range(1, isqrt(z) + 1) if z % d == 0]
@@ -109,23 +110,20 @@ def _triples(n: int, restricted: bool, allow_equal: bool = True) -> Iterator[tup
         else:
             xs = range(1, z // 2 + 1)
         for x in xs:
-            if allow_equal or 2 * x != z:
-                yield x, z - x, z
+            yield x, z - x, z
 
 
-def forbidden_triples(n: int, restricted: bool, allow_equal: bool = True) -> list[ForbiddenTriple]:
+def forbidden_triples(n: int, restricted: bool) -> list[ForbiddenTriple]:
     """All triples x + y = z with x <= y <= z <= n to avoid monochromatically,
     restricted ones additionally demanding x | y; sorted by (z, x)."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    return [ForbiddenTriple(x, y, z, restricted) for x, y, z in _triples(n, restricted, allow_equal)]
+    return [ForbiddenTriple(x, y, z, restricted) for x, y, z in _triples(n, restricted)]
 
 
-def validate_coloring(
-    colors: Sequence[int], restricted: bool, allow_equal: bool = True
-) -> list[ForbiddenTriple]:
+def validate_coloring(colors: Sequence[int], restricted: bool) -> list[ForbiddenTriple]:
     """Monochromatic forbidden triples under `colors` (index i colors i+1)."""
-    return [ForbiddenTriple(x, y, z, restricted) for x, y, z in _triples(len(colors), restricted, allow_equal)
+    return [ForbiddenTriple(x, y, z, restricted) for x, y, z in _triples(len(colors), restricted)
             if colors[x - 1] == colors[y - 1] == colors[z - 1]]
 
 
@@ -141,14 +139,14 @@ class _Searcher:
     __slots__ = ("l", "n", "pairs", "forget", "members", "banned", "all_banned", "choices", "nodes",
                  "depth", "prefixes", "max_nodes", "deadline", "poll_at")
 
-    def __init__(self, l: int, n: int, restricted: bool, allow_equal: bool,
-                 max_nodes: int | None = None, max_seconds: float | None = None):
+    def __init__(self, l: int, n: int, restricted: bool, max_nodes: int | None = None,
+                 max_seconds: float | None = None):
         self.l = l
         self.n = n
         # pairs[y]: bit x for each forbidden (x, y, x + y); x <= y, so bans land above y.
         self.pairs = [0] * (n + 1)
         self.forget = [True] * (n + 1)  # forget[v]: no later step reads bit v of members
-        for x, y, _ in _triples(n, restricted, allow_equal):
+        for x, y, _ in _triples(n, restricted):
             self.pairs[y] |= 1 << x
             if y > x:
                 self.forget[x] = False
@@ -264,8 +262,8 @@ class _Searcher:
 
 
 def _subtree_worker(args) -> tuple[list[int] | None, int]:
-    l, n, restricted, allow_equal, prefix = args
-    searcher = _Searcher(l, n, restricted, allow_equal)
+    l, n, restricted, prefix = args
+    searcher = _Searcher(l, n, restricted)
     if not searcher.seed_prefix(prefix):
         return None, 0
     return searcher.run(len(prefix) + 1, max(prefix)), searcher.nodes
@@ -276,7 +274,6 @@ def exists_valid_coloring(
     n: int,
     restricted: bool = False,
     *,
-    allow_equal: bool = True,
     max_nodes: int | None = None,
     max_seconds: float | None = None,
     threads: int = 1,
@@ -286,7 +283,7 @@ def exists_valid_coloring(
     cuts the search before either outcome."""
     _check_problem(l, "n", n, max_nodes, max_seconds, threads)
     with _process_pool(threads) as pool:
-        return _exists(l, n, restricted, allow_equal, max_nodes, max_seconds, pool)[0]
+        return _exists(l, n, restricted, max_nodes, max_seconds, pool)[0]
 
 
 def _check_problem(l: int, n_name: str, n: int | None, max_nodes: int | None, max_seconds: float | None,
@@ -311,28 +308,26 @@ def _process_pool(threads: int):
     return ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1))
 
 
-def _exists(l, n, restricted, allow_equal, max_nodes, max_seconds, pool):
+def _exists(l, n, restricted, max_nodes, max_seconds, pool):
     """The first witness, or None on refutation, and the nodes searched.
     With a process pool, an unbudgeted n above SPLIT_DEPTH is split into
     cubes; a budgeted search runs here, where the budget is polled exactly."""
     if pool is not None and n > SPLIT_DEPTH and max_nodes is None and max_seconds is None:
-        return _exists_parallel(l, n, restricted, allow_equal, SPLIT_DEPTH, pool)
-    searcher = _Searcher(l, n, restricted, allow_equal, max_nodes, max_seconds)
+        return _exists_parallel(l, n, restricted, pool)
+    searcher = _Searcher(l, n, restricted, max_nodes, max_seconds)
     return searcher.run(1, -1), searcher.nodes
 
 
-def _exists_parallel(
-    l: int, n: int, restricted: bool, allow_equal: bool, depth: int, pool
-) -> tuple[list[int] | None, int]:
-    """Search each prefix of 1..depth (a cube) in a pool worker.
+def _exists_parallel(l: int, n: int, restricted: bool, pool) -> tuple[list[int] | None, int]:
+    """Search each prefix of 1..SPLIT_DEPTH (a cube) in a pool worker.
     Returns the first witness in prefix order and the nodes of the prefix
     enumeration plus those of every cube up to the witness's: independent
     of scheduling, and the single-process count for a refutation.  Cubes
     still pending once the witness is in are cancelled."""
-    base = _Searcher(l, n, restricted, allow_equal)
-    prefixes = base.collect_prefixes(depth)
+    base = _Searcher(l, n, restricted)
+    prefixes = base.collect_prefixes(SPLIT_DEPTH)
     nodes = base.nodes
-    cubes = [pool.submit(_subtree_worker, (l, n, restricted, allow_equal, prefix)) for prefix in prefixes]
+    cubes = [pool.submit(_subtree_worker, (l, n, restricted, prefix)) for prefix in prefixes]
     try:
         for cube in cubes:
             witness, cube_nodes = cube.result()
@@ -364,7 +359,6 @@ def schur_number(
     l: int,
     restricted: bool = False,
     *,
-    allow_equal: bool = True,
     max_nodes: int | None = None,
     max_seconds: float | None = None,
     max_n: int | None = None,
@@ -375,7 +369,7 @@ def schur_number(
     {1..W+1} was refuted.  Budgets or max_n produce status="lower_bound".
 
     With a cache path, the search resumes from the largest witness and the
-    least refutation cached for (l, restricted, allow_equal), once every
+    least refutation cached for (l, restricted), once every
     witness of that key revalidates (else CacheError).  It then leaves just
     those two, cached or new, as the key's entries: a witness for {1..n}
     covers every smaller n, a refutation of n every larger one.
@@ -385,7 +379,7 @@ def schur_number(
     deadline = None if max_seconds is None else start + max_seconds
     nodes_total = 0
 
-    key = (l, bool(restricted), bool(allow_equal))
+    key = (l, bool(restricted))
     cache = None if cache_path is None else load_search_cache(cache_path)
     W, witness, refuted_at = (0, [], None) if cache is None else _cache_best(cache, cache_path, key)
 
@@ -403,7 +397,7 @@ def schur_number(
             if node_room is not None and node_room <= 0:
                 break
             try:
-                found, nodes = _exists(l, n, restricted, allow_equal, node_room, remaining, pool)
+                found, nodes = _exists(l, n, restricted, node_room, remaining, pool)
                 nodes_total += nodes
             except BudgetExhausted as exc:
                 nodes_total += exc.nodes
@@ -483,10 +477,12 @@ def _merge_into_cache(path: str, key: tuple, W: int, witness: list[int], refuted
     save_search_cache(path, cache)
 
 
-def _entry_key(entry: dict) -> tuple:
-    """(l, restricted, allow_equal); entries without allow_equal predate it
-    and were written for the default convention."""
-    return entry.get("l"), bool(entry.get("restricted")), bool(entry.get("allow_equal", True))
+def _entry_key(entry: dict) -> tuple | None:
+    """(l, restricted), or None for an entry marked "allow_equal": false: it was
+    written for x < y, another problem, so it matches no key of this search."""
+    if not entry.get("allow_equal", True):
+        return None
+    return entry.get("l"), bool(entry.get("restricted"))
 
 
 def _cache_best(cache: dict, path: str, key: tuple, run=(0, [], None)) -> tuple[int, list[int], int | None]:
@@ -519,12 +515,12 @@ def _cache_best(cache: dict, path: str, key: tuple, run=(0, [], None)) -> tuple[
     return best_n, best_coloring, refuted
 
 
-def _witness_fault(coloring, n: int, l: int, restricted: bool, allow_equal: bool) -> str | None:
+def _witness_fault(coloring, n: int, l: int, restricted: bool) -> str | None:
     if not isinstance(coloring, list) or len(coloring) != n:
         return f"the coloring does not have length {n}"
     if not all(type(c) is int and 0 <= c < l for c in coloring):
         return f"the coloring uses colors outside 0..{l - 1}"
-    hits = validate_coloring(coloring, restricted, allow_equal)
+    hits = validate_coloring(coloring, restricted)
     if hits:
         x, y, z, _ = hits[0]
         return f"the coloring makes {x} + {y} = {z} monochromatic"
@@ -532,5 +528,5 @@ def _witness_fault(coloring, n: int, l: int, restricted: bool, allow_equal: bool
 
 
 def _cache_entry(key: tuple, n: int, coloring: list[int] | None, status: str) -> dict:
-    return dict(zip(("l", "restricted", "allow_equal"), key), n=n, coloring=coloring, status=status,
+    return dict(zip(("l", "restricted"), key), n=n, coloring=coloring, status=status,
                 timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))

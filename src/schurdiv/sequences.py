@@ -110,8 +110,9 @@ def generate(kind: str, count: int, size_budget: int = DEFAULT_DIGIT_BUDGET) -> 
     Raises SequenceBudgetError naming the first term whose size estimate
     exceeds `size_budget` total decimal digits across all terms.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    for name, value in (("count", count), ("size_budget", size_budget)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if kind == FACTORIAL:
         terms = _generate_factorial(count, size_budget)
     elif kind == PRODUCT:
@@ -260,16 +261,13 @@ def _factorial_term_mod(n: int, m: int) -> int:
     return 0
 
 
-def interval_sum_mod(kind: str, i: int, j: int, m: int) -> int:
-    """Block sum terms[i] + ... + terms[j-1] reduced mod m, without
-    materializing any term.
+def interval_sum_mod(i: int, j: int, m: int) -> int:
+    """Block sum terms[i] + ... + terms[j-1] of the factorial kind reduced
+    mod m, without materializing any term.
 
-    Only the factorial kind supports this; its terms past index 5 are
-    congruent to 0 for every feasible modulus, so arbitrarily deep block
-    sums reduce to at most five exact summands.
+    Its terms past index 5 are congruent to 0 for every feasible modulus,
+    so arbitrarily deep block sums reduce to at most five exact summands.
     """
-    if kind != FACTORIAL:
-        raise ValueError(f"modular interval sums support only the factorial kind, got {kind!r}")
     if not 1 <= i < j:
         raise IndexError(f"need 1 <= i < j, got i={i}, j={j}")
     if m < 2:

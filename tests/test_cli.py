@@ -78,6 +78,12 @@ class TestSeq:
         assert code == 1
         assert "term 6" in err
 
+    def test_budget_digits_below_one_is_usage_error(self, capsys):
+        for count in ("1", "3"):
+            code, out, err = run(capsys, "seq", "--kind", "factorial", "--count", count, "--budget-digits", "-5")
+            assert (code, out) == (2, ""), count
+            assert "size_budget must be >= 1, got -5" in err
+
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "seq", "--kind", "factorial", "--count", "4")
         _, out2, _ = run(capsys, "seq", "--kind", "factorial", "--count", "4")
@@ -138,6 +144,13 @@ class TestWitness:
             capsys, "witness", "--coloring", "parity", "--via", "direct", "--max-n", "3"
         )
         assert report["found"] is False
+
+    def test_max_n_with_ramsey_is_usage_error(self, capsys):
+        # The Ramsey route has no search bound to set.
+        for max_n in ("-3", "10"):
+            code, out, err = run(capsys, "witness", "--coloring", "parity", "--via", "ramsey", "--max-n", max_n)
+            assert (code, out) == (2, ""), max_n
+            assert "--max-n applies only to --via direct" in err
 
     def test_direct_explicit_uses_domain(self, capsys, tmp_path):
         path = tmp_path / "colors.json"

@@ -14,7 +14,7 @@ from schurdiv.ramsey import (
     r3_value_or_bound,
     witness_via_ramsey,
 )
-from schurdiv.sequences import FACTORIAL, interval_sum_mod
+from schurdiv.sequences import interval_sum_mod
 from test_schur_search import brute_triples
 
 
@@ -148,7 +148,7 @@ class TestWitnessViaRamsey:
             assert w.x is None and w.quotient is None
         # independent re-check of monochromaticity through modular sums
         for a, b in (w.x_span, w.y_span, w.z_span):
-            residue = interval_sum_mod(FACTORIAL, a, b, 29)
+            residue = interval_sum_mod(a, b, 29)
             assert coloring.class_map[residue] == w.color
 
     def test_seven_colors_color_edges_on_demand(self):

@@ -73,28 +73,24 @@ class TestForbiddenTriples:
         pytest.param(True, False, id="True-strict"),
     ])
     def test_matches_oracle_and_sort_order(self, restricted, allow_equal):
+        # The x < y subset is the problem the kernel's differential tests also search.
         for n in range(2, 41):
-            got = [(t.x, t.y, t.z) for t in forbidden_triples(n, restricted, allow_equal)]
+            got = [(t.x, t.y, t.z) for t in forbidden_triples(n, restricted) if allow_equal or t.x < t.y]
             assert got == brute_triples(n, restricted, allow_equal), n
 
     @pytest.mark.parametrize("restricted", [False, True])
     @pytest.mark.parametrize("allow_equal", [True, False])
     def test_enumerator_matches_oracle_far_out(self, restricted, allow_equal):
         # Up to 400, the restricted divisor walk meets squares, primes and highly composite z.
-        got = list(schur_search._triples(400, restricted, allow_equal))
+        got = [t for t in schur_search._triples(400, restricted) if allow_equal or t[0] < t[1]]
         assert got == brute_triples(400, restricted, allow_equal)
-        assert list(schur_search._triples(1, restricted, allow_equal)) == []
+        assert list(schur_search._triples(1, restricted)) == []
 
     def test_restricted_subset_of_unrestricted(self):
         for n in range(2, 41):
             unres = {(t.x, t.y, t.z) for t in forbidden_triples(n, False)}
             res = {(t.x, t.y, t.z) for t in forbidden_triples(n, True)}
             assert res <= unres
-
-    def test_allow_equal_flag(self):
-        with_eq = {(t.x, t.y, t.z) for t in forbidden_triples(8, True)}
-        without = {(t.x, t.y, t.z) for t in forbidden_triples(8, True, allow_equal=False)}
-        assert with_eq - without == {(1, 1, 2), (2, 2, 4), (3, 3, 6), (4, 4, 8)}
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -381,53 +377,90 @@ def _entries(path):
 
 
 class TestCacheKeys:
-    """Entries are keyed by (l, restricted, allow_equal), and a save keeps
-    per key only the largest witness and the least refutation."""
+    """Entries are keyed by (l, restricted), and a save keeps per key only
+    the largest witness and the least refutation.  An entry marked
+    "allow_equal": false was written for x < y, another problem: it is
+    never evidence, never revalidated, and every save keeps it as it was."""
 
     W4 = TestCacheEvidence.W4
+    # W = 8 and S = 9 for two colours under x < y; this witness colours 1 + 1 = 2 alike.
+    WEAK = [
+        {"l": 2, "restricted": False, "allow_equal": False, "n": 8, "coloring": [0, 0, 1, 0, 1, 1, 1, 0],
+         "status": "valid", "timestamp": "2000-01-01T00:00:00Z"},
+        {"l": 2, "restricted": False, "allow_equal": False, "n": 9, "coloring": None, "status": "refuted",
+         "timestamp": "2000-01-01T00:00:00Z"},
+    ]
+
+    @staticmethod
+    def _cache(path, entries):
+        path.write_text(json.dumps({"version": 1, "entries": entries}))
+        return str(path)
+
+    def _kept_as_they_were(self, path, entries):
+        text = Path(path).read_text(encoding="utf-8")
+        assert [e for e in _entries(path) if "allow_equal" in e] == entries
+        assert all(json.dumps(e, sort_keys=True) in text for e in entries)
 
     def test_weak_convention_round_trips(self, tmp_path):
-        path = str(tmp_path / "c.json")
-        first = schur_number(2, allow_equal=False, cache_path=path)
-        assert (first.status, first.W, first.S, first.stats.nodes) == ("exact", 8, 9, 62)
-        again = schur_number(2, allow_equal=False, cache_path=path)
-        assert (again.status, again.W, again.S, again.stats.nodes) == ("exact", 8, 9, 0)
-        assert again.witness_coloring == first.witness_coloring
-        # the weak entries do not serve the default convention
-        default = schur_number(2, cache_path=path)
-        assert (default.W, default.S) == (4, 5)
-        assert default.stats.nodes == schur_number(2).stats.nodes > 0
-        assert schur_number(2, cache_path=path).stats.nodes == 0
-        assert schur_number(2, allow_equal=False, cache_path=path).stats.nodes == 0
+        path = self._cache(tmp_path / "c.json", self.WEAK)
+        first = schur_number(2, cache_path=path)
+        assert (first.status, first.W, first.S, first.stats.nodes) == ("exact", 4, 5, 16)
+        assert first.witness_coloring == self.W4
+        self._kept_as_they_were(path, self.WEAK)
+        again = schur_number(2, cache_path=path)
+        assert (again.status, again.W, again.S, again.stats.nodes) == ("exact", 4, 5, 0)
+        self._kept_as_they_were(path, self.WEAK)
 
     def test_default_entries_never_serve_the_weak_convention(self, tmp_path):
-        path = _write_cache(tmp_path / "c.json", (2, 4, self.W4, "valid"), (2, 5, None, "refuted"))
-        weak = schur_number(2, allow_equal=False, cache_path=path)
-        assert (weak.W, weak.S, weak.stats.nodes) == (8, 9, 62)
+        # A run's evidence never joins the weak entries or replaces them.
+        default = [{"l": 2, "restricted": False, "n": n, "coloring": coloring, "status": status}
+                   for n, coloring, status in ((4, self.W4, "valid"), (5, None, "refuted"))]
+        path = self._cache(tmp_path / "c.json", self.WEAK + default)
+        result = schur_number(2, cache_path=path)
+        assert (result.W, result.S, result.stats.nodes) == (4, 5, 0)
+        assert _entries(path) == self.WEAK + default
+
+    def test_false_entries_are_never_evidence(self, tmp_path):
+        # Read as evidence, the refutation at n = 3 would contradict the
+        # witness at n = 4, and [0, 0, 0] would fail revalidation.
+        weak = [{**self.WEAK[1], "n": 3}, {**self.WEAK[0], "n": 3, "coloring": [0, 0, 0]},
+                {**self.WEAK[0], "n": 12, "coloring": "unchecked"}]
+        partial = {"l": 2, "restricted": False, "n": 3, "coloring": [0, 1, 0], "status": "valid"}
+        path = self._cache(tmp_path / "c.json", weak + [partial])
+        result = schur_number(2, cache_path=path)
+        assert (result.status, result.W, result.S, result.witness_coloring) == ("exact", 4, 5, self.W4)
+        assert 0 < result.stats.nodes < schur_number(2).stats.nodes  # resumed at n = 4
+        self._kept_as_they_were(path, weak)
 
     def test_entries_without_the_field_serve_the_default(self, tmp_path):
         path = _write_cache(tmp_path / "c.json", (2, 4, self.W4, "valid"), (2, 5, None, "refuted"))
         assert all("allow_equal" not in entry for entry in _entries(path))
-        result = schur_number(2, allow_equal=True, cache_path=path)
+        result = schur_number(2, cache_path=path)
         assert (result.status, result.W, result.S, result.stats.nodes) == ("exact", 4, 5, 0)
         assert result.witness_coloring == self.W4
+        # So do entries marked true, as this search wrote them before it dropped the field.
+        marked = [{**e, "allow_equal": True} for e in _entries(path)]
+        path = self._cache(tmp_path / "c.json", marked)
+        assert schur_number(2, cache_path=path).stats.nodes == 0
+        assert _entries(path) == marked
 
     def test_save_keeps_one_witness_and_one_refutation_per_key(self, tmp_path):
         path = str(tmp_path / "c.json")
         stranger = {"l": 7, "restricted": False, "n": 3, "coloring": "unchecked", "status": "odd"}
-        save_search_cache(path, {"version": 1, "entries": [stranger]})
+        save_search_cache(path, {"version": 1, "entries": [stranger] + self.WEAK})
         schur_number(2, restricted=True, max_n=5, cache_path=path)
         schur_number(2, restricted=True, cache_path=path)
-        schur_number(2, allow_equal=False, cache_path=path)
-        schur_number(2, allow_equal=False, cache_path=path)
+        schur_number(2, max_n=3, cache_path=path)
+        schur_number(2, cache_path=path)
+        schur_number(2, cache_path=path)
         entries = _entries(path)
-        assert entries[0] == stranger
-        keyed = sorted((e["restricted"], e["allow_equal"], e["n"], e["status"]) for e in entries[1:])
-        assert keyed == [(False, False, 8, "valid"), (False, False, 9, "refuted"),
-                         (True, True, 11, "valid"), (True, True, 12, "refuted")]
-        for entry in entries[1:]:
+        assert entries[:3] == [stranger] + self.WEAK
+        assert all("allow_equal" not in entry for entry in entries[3:])
+        keyed = sorted((e["restricted"], e["n"], e["status"]) for e in entries[3:])
+        assert keyed == [(False, 4, "valid"), (False, 5, "refuted"), (True, 11, "valid"), (True, 12, "refuted")]
+        for entry in entries[3:]:
             if entry["status"] == "valid":
-                assert validate_coloring(entry["coloring"], entry["restricted"], entry["allow_equal"]) == []
+                assert validate_coloring(entry["coloring"], entry["restricted"]) == []
 
     def test_cached_best_entry_is_kept_as_it_was(self, tmp_path):
         path = tmp_path / "c.json"
@@ -440,7 +473,8 @@ class TestCacheKeys:
         valid, refuted = _entries(str(path))
         assert valid == {"l": 2, "restricted": False, "n": 4, "coloring": self.W4,
                          "status": "valid", "timestamp": "2000-01-01T00:00:00Z"}
-        assert (refuted["n"], refuted["status"], refuted["allow_equal"]) == (5, "refuted", True)
+        assert (refuted["n"], refuted["status"]) == (5, "refuted")
+        assert "allow_equal" not in refuted
 
     def _legacy_cache(self, tmp_path):
         """One witness per n = 1..111, as a per-n cache for W'(3) held them."""
@@ -471,21 +505,18 @@ class TestCacheKeys:
             schur_number(3, restricted=True, max_n=111, cache_path=str(path))
 
     def test_witness_checked_under_its_own_convention(self, tmp_path):
-        # [0, 0] colours 1 + 1 = 2 alike: fine without x = y, not with it.
+        # [0, 0] colours 1 + 1 = 2 alike: a witness for x < y, not for x <= y.
         weak = {"l": 1, "restricted": False, "allow_equal": False, "n": 2, "coloring": [0, 0],
                 "status": "valid"}
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"version": 1, "entries": [weak]}))
-        result = schur_number(1, allow_equal=False, cache_path=str(path))
-        assert (result.W, result.S) == (2, 3)
-        assert result.stats.nodes < schur_number(1, allow_equal=False).stats.nodes  # searched n = 3 only
+        result = schur_number(1, cache_path=str(path))
+        assert (result.W, result.S, result.stats.nodes) == (1, 2, schur_number(1).stats.nodes)
+        assert _entries(str(path))[0] == weak
         for entry in ({**weak, "allow_equal": True}, {k: v for k, v in weak.items() if k != "allow_equal"}):
             path.write_text(json.dumps({"version": 1, "entries": [entry]}))
             with pytest.raises(CacheError, match="entry 0 .*1 \\+ 1 = 2 monochromatic"):
                 schur_number(1, cache_path=str(path))
-        path.write_text(json.dumps({"version": 1, "entries": [{**weak, "n": 3, "coloring": [0, 0, 0]}]}))
-        with pytest.raises(CacheError, match="entry 0 .*1 \\+ 2 = 3 monochromatic"):
-            schur_number(1, allow_equal=False, cache_path=str(path))
 
 
 class TestConcurrentWriters:
@@ -597,7 +628,8 @@ class TestValidateColoring:
                 for x, y, z in brute_triples(len(colors), restricted, allow_equal)
                 if colors[x - 1] == colors[y - 1] == colors[z - 1]
             ]
-            assert validate_coloring(colors, restricted, allow_equal) == expected
+            got = [t for t in validate_coloring(colors, restricted) if allow_equal or t.x < t.y]
+            assert got == expected
 
     def test_detects_monochromatic_triple(self):
         hits = validate_coloring([0, 0, 0], restricted=True)

@@ -4,6 +4,12 @@
 sweep both must give the same first witness, the same node count, the
 same budget cut, the same prefix lists and the same seeded subtrees,
 because the branching order and the pruning are unchanged.
+
+The sweep covers two problems: x + y = z with x <= y, the only one
+schurdiv searches, and with x < y.  The kernel reads its triples only
+through `pairs` and `forget`, so the x < y searcher is the same kernel
+with those two tables rebuilt; the oracle keeps its own x < y pair
+table.  Only x < y reuses a twin subtree before a fast witness.
 """
 
 import concurrent.futures
@@ -39,7 +45,14 @@ def _old(l, n, restricted, allow_equal, max_nodes=None):
 
 
 def _new(l, n, restricted, allow_equal, max_nodes=None):
-    return schur_search._Searcher(l, n, restricted, allow_equal, max_nodes)
+    searcher = schur_search._Searcher(l, n, restricted, max_nodes)
+    if not allow_equal:
+        searcher.pairs, searcher.forget = [0] * (n + 1), [True] * (n + 1)
+        for x, y, _ in schur_search._triples(n, restricted):
+            if x < y:
+                searcher.pairs[y] |= 1 << x
+                searcher.forget[x] = False
+    return searcher
 
 
 def _outcome(kernel, l, n, restricted, allow_equal, max_nodes, seed=()):
@@ -132,17 +145,19 @@ class TestBudgetPoll:
 
 
 class TestParallelNodes:
-    def test_refutation_counts_every_node(self):
+    def test_refutation_counts_every_node(self, monkeypatch):
         seq = _new(3, 14, False, True)
         assert seq.run(1, -1) is None
         with ProcessPoolExecutor(max_workers=2) as pool:
             for depth in (3, 5):
-                assert schur_search._exists_parallel(3, 14, False, True, depth, pool) == (None, seq.nodes)
+                monkeypatch.setattr(schur_search, "SPLIT_DEPTH", depth)
+                assert schur_search._exists_parallel(3, 14, False, pool) == (None, seq.nodes)
 
-    def test_witness_cube_total_is_deterministic(self):
+    def test_witness_cube_total_is_deterministic(self, monkeypatch):
+        monkeypatch.setattr(schur_search, "SPLIT_DEPTH", 4)
         with ProcessPoolExecutor(max_workers=2) as pool:
-            first = schur_search._exists_parallel(3, 13, False, True, 4, pool)
-            again = schur_search._exists_parallel(3, 13, False, True, 4, pool)
+            first = schur_search._exists_parallel(3, 13, False, pool)
+            again = schur_search._exists_parallel(3, 13, False, pool)
         assert first == again
         assert first[0] == exists_valid_coloring(3, 13)
 
@@ -177,8 +192,11 @@ class TestParallelNodes:
 class TestTwinReuse:
     """Restricted cases where the kernel reuses the node count of a refuted
     twin subtree instead of walking it again; the outcome, node count and
-    budget cut must still be the oracle's.  (At n = 100 with allow_equal
-    false the first witness comes before any reuse; n = 126 reuses.)"""
+    budget cut must still be the oracle's.  Under x < y (allow_equal
+    false) the n = 100 witness comes before any reuse, and n = 126 reuses
+    304 subtrees before its witness at 25,073 nodes.  Under x <= y no fast
+    witness follows a reuse: up to n = 111 none is needed, and n = 112
+    takes about 1.4 * 10^11 counted nodes."""
 
     CASES = [(3, 112, True), (3, 100, False), (3, 126, False)]
     BUDGETS = (1_000, 4_096, 20_000, 77_777, 200_000)
@@ -221,7 +239,7 @@ class TestTwinReuse:
         assert info.value.nodes % 2048 == 0
 
     def _at(self, nodes, max_nodes=None, max_seconds=None):
-        searcher = schur_search._Searcher(3, 112, True, True, max_nodes, max_seconds)
+        searcher = schur_search._Searcher(3, 112, True, max_nodes, max_seconds)
         searcher.nodes = nodes
         searcher._poll(nodes)
         return searcher

@@ -86,6 +86,13 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate("fibonacci", 3)
 
+    def test_budget_below_one(self):
+        # Refused as an argument, not as a term past the budget, however few terms.
+        for count, budget in ((1, 0), (3, -5)):
+            with pytest.raises(ValueError, match=f"size_budget must be >= 1, got {budget}") as exc:
+                generate(FACTORIAL, count, size_budget=budget)
+            assert not isinstance(exc.value, SequenceBudgetError)
+
 
 class TestIntervalSum:
     def test_examples(self):
@@ -158,40 +165,36 @@ class TestKempner:
 
 class TestIntervalSumMod:
     def test_examples(self):
-        assert interval_sum_mod(FACTORIAL, 4, 5, 7) == 3  # 24 mod 7
-        assert interval_sum_mod(FACTORIAL, 5, 6, 7) == 0  # 28! contains 7
-        assert interval_sum_mod(FACTORIAL, 1, 3, 5) == 2
+        assert interval_sum_mod(4, 5, 7) == 3  # 24 mod 7
+        assert interval_sum_mod(5, 6, 7) == 0  # 28! contains 7
+        assert interval_sum_mod(1, 3, 5) == 2
 
     def test_matches_exact_sums(self):
         seq = generate(FACTORIAL, 5)
         for i, j in combinations(range(1, 7), 2):
             exact = interval_sum(seq, i, j)
             for m in range(2, 98):
-                assert interval_sum_mod(FACTORIAL, i, j, m) == exact % m, (i, j, m)
+                assert interval_sum_mod(i, j, m) == exact % m, (i, j, m)
 
     def test_deep_sums_only_see_first_five_terms(self):
         for m in (2, 3, 7, 11, 29, 97, 360):
-            assert interval_sum_mod(FACTORIAL, 1, 17, m) == interval_sum_mod(FACTORIAL, 1, 6, m)
-            assert interval_sum_mod(FACTORIAL, 7, 17, m) == 0
+            assert interval_sum_mod(1, 17, m) == interval_sum_mod(1, 6, m)
+            assert interval_sum_mod(7, 17, m) == 0
 
     def test_wilson_case(self):
         # 28! is one short of a multiple of 29
-        assert interval_sum_mod(FACTORIAL, 5, 6, 29) == 28
+        assert interval_sum_mod(5, 6, 29) == 28
 
     def test_infeasible_modulus(self):
         big_prime = 2**107 - 1  # no factorial below it is divisible by it
-        assert interval_sum_mod(FACTORIAL, 5, 6, big_prime) == FACT_28 % big_prime
+        assert interval_sum_mod(5, 6, big_prime) == FACT_28 % big_prime
         with pytest.raises(EvaluationInfeasibleError):
-            interval_sum_mod(FACTORIAL, 6, 7, big_prime)
+            interval_sum_mod(6, 7, big_prime)
         with pytest.raises(EvaluationInfeasibleError):
-            interval_sum_mod(FACTORIAL, 8, 9, big_prime)
-
-    def test_unsupported_kind(self):
-        with pytest.raises(ValueError):
-            interval_sum_mod(PRODUCT, 1, 2, 5)
+            interval_sum_mod(8, 9, big_prime)
 
     def test_bad_arguments(self):
         with pytest.raises(IndexError):
-            interval_sum_mod(FACTORIAL, 3, 3, 5)
+            interval_sum_mod(3, 3, 5)
         with pytest.raises(ValueError):
-            interval_sum_mod(FACTORIAL, 1, 2, 1)
+            interval_sum_mod(1, 2, 1)
