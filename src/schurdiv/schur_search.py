@@ -8,10 +8,11 @@ the solver's pair table and `ramsey.direct_schur_div_search` all read
 it.  The solver assigns colors to 1, 2, 3, ... in natural order, keeping
 per color c two bitsets over 1..n: members[c], and banned[c], the
 integers c would complete a forbidden triple on.  Assigning v to c ORs
-`(members[c] & pairs[v]) << v` into banned[c]; the branch dies once all
-banned sets share a bit.  Undo restores banned[c] and clears bit v of
-members[c].  Seeding a prefix, enumerating prefixes and the search all
-run this one step (bitwise backtracking, Knuth TAOCP 7.2.2).
+`(members[c] & pairs[v]) << v` into banned[c]; the branch dies, before
+anything is written, once a new ban hits an integer every other color
+bans.  Undo restores banned[c] and members[c].  Seeding a prefix,
+enumerating prefixes and the search all run this one step (bitwise
+backtracking, Knuth TAOCP 7.2.2).
 
 Twin subtrees are counted, not walked.  At a v no later pair reads
 (restricted: every v > n/3), all used colors that ban nothing leave the
@@ -26,8 +27,8 @@ found under this fixed branching order is deterministic.
 W(l) is the largest n admitting a valid coloring and S(l) = W(l) + 1 the
 least n forcing a monochromatic triple; `schur_number` reports exact
 values only when the search both produced a witness for W and exhausted
-the tree for W + 1.  Node and wall-clock budgets turn into a lower_bound
-status, never an error.
+the tree for W + 1.  Node and wall-clock budgets, and in one process the
+recursion limit, turn into a lower_bound status, never an error.
 
 Optional multi-process search splits the tree at prefix depth
 SPLIT_DEPTH; every subtree must be exhausted for a refutation, so exact
@@ -41,8 +42,8 @@ threaded call, so a single-process run never loads multiprocessing.
 The cache is keyed by the whole problem (l, restricted) and keeps per
 key only what decides it: the largest witness and the least refutation.
 A save re-reads the file, so runs sharing it keep each other's entries.
-It is evidence, not trusted: every witness read back is revalidated,
-and a refutation at or below a witnessed n is rejected with
+Witnesses read back are revalidated; a cached refutation above the best
+witness is trusted, and one at or below a witnessed n is rejected with
 `CacheError`.  An entry marked as written for x < y belongs to another
 problem: it is never read, checked or rewritten.
 """
@@ -54,9 +55,7 @@ import os
 import sys
 import time
 from contextlib import nullcontext, suppress
-from functools import partial, reduce
 from math import isfinite, isqrt
-from operator import and_
 from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -132,11 +131,15 @@ class _Searcher:
 
     `_extend` holds the only assign/undo step.  It searches to `depth`,
     stopping at the first leaf, or recording leaves while `prefixes` is a
-    list.  Budgets are polled only at node count `poll_at`: the node limit
-    raises at max_nodes + 1, the deadline is read every 2048 nodes (once
-    per reused twin subtree, at the first multiple it crosses)."""
+    list.  A node tests its new bans against the other colors, lowest
+    first, before it writes; the new color max_used + 1 then has its own
+    path: with no member it bans at most 2v and is never a twin.  `run`
+    builds `levels`, (pairs[v], 1 << v, twin-eligible) per v.  Budgets
+    are polled only at node count `poll_at`: the node limit raises at
+    max_nodes + 1, the deadline is read every 2048 nodes (once per reused
+    twin subtree, at the first multiple it crosses)."""
 
-    __slots__ = ("l", "n", "pairs", "forget", "members", "banned", "all_banned", "choices", "nodes",
+    __slots__ = ("l", "n", "pairs", "forget", "members", "banned", "used", "others", "levels", "nodes",
                  "depth", "prefixes", "max_nodes", "deadline", "poll_at")
 
     def __init__(self, l: int, n: int, restricted: bool, max_nodes: int | None = None,
@@ -152,9 +155,9 @@ class _Searcher:
                 self.forget[x] = False
         self.members = [0] * l
         self.banned = [0] * l
-        self.all_banned = partial(reduce, and_, self.banned)  # integers left no color
-        # choices[max_used + 1]: colors open to the next integer.
-        self.choices = [range(min(k, l - 1) + 1) for k in range(l + 1)]
+        # used[max_used + 1]: the colors in use; others[c]: every other color.
+        self.used = [range(k) for k in range(l + 1)]
+        self.others = [[d for d in range(l) if d != c] for c in range(l)]
         self.nodes = 0
         self.depth = n
         self.prefixes = None
@@ -202,7 +205,7 @@ class _Searcher:
             self.banned[d] |= sum(1 << v for v, c in enumerate(prefix, start=1) if c != d)
         saved = self.nodes, self.poll_at
         self.depth, self.poll_at = len(prefix), sys.maxsize
-        ok = self._extend(1, -1)
+        ok = self.run(1, -1) is not None
         self.depth, (self.nodes, self.poll_at) = self.n, saved
         return ok
 
@@ -210,11 +213,13 @@ class _Searcher:
         """All viable partial colorings of 1..depth under the branching rules;
         their nodes count towards `nodes`."""
         self.depth, self.prefixes = depth, []
-        self._extend(1, -1)
+        self.run(1, -1)
         prefixes, self.depth, self.prefixes = self.prefixes, self.n, None
         return prefixes
 
     def run(self, start_v: int, max_used: int) -> list[int] | None:
+        twins = self.prefixes is None
+        self.levels = [(p, 1 << u, f and twins) for u, (p, f) in enumerate(zip(self.pairs, self.forget))]
         return self.coloring() if self._extend(start_v, max_used) else None
 
     def _extend(self, v: int, max_used: int) -> bool:
@@ -225,11 +230,9 @@ class _Searcher:
             return False
         banned = self.banned
         members = self.members
-        all_banned = self.all_banned
-        pairs_v = self.pairs[v]
-        bit = 1 << v
+        pairs_v, bit, twin_ok = self.levels[v]
         twin = None
-        for c in self.choices[max_used + 1]:
+        for c in self.used[max_used + 1]:
             b = banned[c]
             if b & bit:
                 continue
@@ -237,27 +240,51 @@ class _Searcher:
             self.nodes = nodes
             if nodes >= self.poll_at:
                 self._poll(nodes)
-            # New bans land above v only and no integer was fully banned
-            # before, so the branch is dead iff all banned sets now meet.
-            m = members[c] | bit
-            members[c] = m
+            old = members[c]
+            m = old | bit
             hits = m & pairs_v
             if hits:
-                banned[c] = b | hits << v
-                if not all_banned() and self._extend(v + 1, max_used if c <= max_used else c):
+                # New bans land above v and no integer was fully banned before,
+                # so the node is dead iff they meet every other color's bans.
+                hits <<= v
+                dead = hits
+                for d in self.others[c]:
+                    dead &= banned[d]
+                    if not dead:
+                        break
+                else:
+                    continue
+                members[c] = m
+                banned[c] = b | hits
+                if self._extend(v + 1, max_used):
                     return True
                 banned[c] = b
-            elif c <= max_used and self.forget[v] and self.prefixes is None:
+            elif twin is not None:
                 # A twin: the first one's refutation counts for the rest.
-                if twin is not None:
-                    self._reuse(twin)
-                elif self._extend(v + 1, max_used):
+                self._reuse(twin)
+                continue
+            else:
+                members[c] = m
+                if self._extend(v + 1, max_used):
                     return True
-                else:
+                if twin_ok:
                     twin = self.nodes - nodes
-            elif self._extend(v + 1, max_used if c <= max_used else c):
-                return True
-            members[c] = m ^ bit
+            members[c] = old
+        c = max_used + 1
+        if c == self.l or banned[c] & bit:
+            return False
+        self.nodes += 1
+        if self.nodes >= self.poll_at:
+            self._poll(self.nodes)
+        # The new color has no members: v's one partner in it is v itself, banning 2v.
+        hits = (pairs_v & bit) << v
+        if hits and all(banned[d] & hits for d in self.others[c]):
+            return False
+        b = banned[c]
+        members[c], banned[c] = bit, b | hits
+        if self._extend(v + 1, c):
+            return True
+        members[c], banned[c] = 0, b
         return False
 
 
@@ -280,7 +307,7 @@ def exists_valid_coloring(
 ) -> list[int] | None:
     """A coloring of {1..n} with no monochromatic forbidden triple, or None
     once the whole tree is exhausted.  Raises BudgetExhausted if a budget
-    cuts the search before either outcome."""
+    or the recursion limit cuts the search before either outcome."""
     _check_problem(l, "n", n, max_nodes, max_seconds, threads)
     with _process_pool(threads) as pool:
         return _exists(l, n, restricted, max_nodes, max_seconds, pool)[0]
@@ -315,7 +342,10 @@ def _exists(l, n, restricted, max_nodes, max_seconds, pool):
     if pool is not None and n > SPLIT_DEPTH and max_nodes is None and max_seconds is None:
         return _exists_parallel(l, n, restricted, pool)
     searcher = _Searcher(l, n, restricted, max_nodes, max_seconds)
-    return searcher.run(1, -1), searcher.nodes
+    try:
+        return searcher.run(1, -1), searcher.nodes
+    except RecursionError:  # one frame per integer: a search too deep stops as if cut by a budget
+        raise BudgetExhausted(searcher.nodes) from None
 
 
 def _exists_parallel(l: int, n: int, restricted: bool, pool) -> tuple[list[int] | None, int]:

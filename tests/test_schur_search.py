@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from itertools import product as iproduct
 from pathlib import Path
@@ -189,12 +192,62 @@ class TestSchurNumber:
         result = schur_number(2, max_n=3)
         assert (result.status, result.W) == ("lower_bound", 3)
 
+    def test_four_colors_to_44(self):
+        # The first W = 44 witness that the search-seq benchmark checks.
+        result = schur_number(4, max_n=44)
+        assert (result.status, result.W, result.stats.nodes) == ("lower_bound", 44, 1_095_044)
+        assert result.witness_coloring == [
+            0, 1, 0, 2, 0, 2, 1, 1, 3, 3, 3, 3, 2, 3, 0, 3, 0, 1, 0, 2, 1, 2,
+            2, 1, 2, 0, 1, 0, 3, 2, 3, 2, 1, 3, 3, 3, 1, 1, 2, 0, 2, 0, 1, 0,
+        ]
+
+    def test_restricted_three_colors_under_three_million_nodes(self):
+        result = schur_number(3, restricted=True, max_nodes=3_000_000)
+        assert (result.status, result.W, result.stats.nodes) == ("lower_bound", 111, 3_000_001)
+        assert validate_coloring(result.witness_coloring, restricted=True) == []
+
     def test_threads_match_sequential(self, monkeypatch):
         seq = schur_number(2, restricted=True)
         monkeypatch.setattr(schur_search, "SPLIT_DEPTH", 4)
         par = schur_number(2, restricted=True, threads=2)
         assert (par.status, par.W, par.S) == (seq.status, seq.W, seq.S)
         assert par.witness_coloring == seq.witness_coloring
+
+
+class TestDeepSearch:
+    """The search recurses once per integer.  In one process, a search
+    deeper than the recursion limit stops as a budget cut does: the library
+    raises BudgetExhausted and `schur` reports a lower bound.  A lowered
+    limit in a fresh interpreter keeps the run short."""
+
+    def _run(self, code):
+        src = str(Path(schur_search.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-c", "import sys\nsys.setrecursionlimit(200)\n" + code],
+                              env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+
+    def test_library_raises_budget_exhausted(self):
+        out = self._run(
+            "from schurdiv.schur_search import BudgetExhausted, exists_valid_coloring\n"
+            "print(len(exists_valid_coloring(5, 100, restricted=True, max_nodes=200000)))\n"
+            "try:\n"
+            "    exists_valid_coloring(5, 300, restricted=True, max_nodes=200000)\n"
+            "except BudgetExhausted as exc:\n"
+            "    print(0 < exc.nodes < 200000)\n"
+        )
+        assert (out.returncode, out.stdout.split()) == (0, ["100", "True"]), out.stderr
+
+    def test_schur_reports_a_lower_bound(self):
+        out = self._run(
+            "from schurdiv.cli import main\n"
+            "sys.exit(main(['schur', '--colors', '5', '--restricted', '--budget-nodes', '2000000']))\n"
+        )
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout)
+        assert (report["status"], report["S"]) == ("lower_bound", None)
+        assert 100 < report["W"] < 200
+        assert report["nodes"] < 2_000_000
+        assert validate_coloring(report["witness_coloring"], restricted=True) == []
 
 
 class TestBudgetValidation:

@@ -7,9 +7,13 @@ because the branching order and the pruning are unchanged.
 
 The sweep covers two problems: x + y = z with x <= y, the only one
 schurdiv searches, and with x < y.  The kernel reads its triples only
-through `pairs` and `forget`, so the x < y searcher is the same kernel
-with those two tables rebuilt; the oracle keeps its own x < y pair
-table.  Only x < y reuses a twin subtree before a fast witness.
+through `pairs` and `forget`, which each walk copies into its per-level
+table, so the x < y searcher is the same kernel with those two tables
+rebuilt; the oracle keeps its own x < y pair table.  Only x < y reuses
+a twin subtree before a fast witness.  Five colors run under budgets
+only.  A new color bans 2v at most, and no pair of integers below v bans
+2v, so outside a seeded prefix its death test fires only with one
+color: the l = 1 cases guard it.
 """
 
 import concurrent.futures
@@ -27,7 +31,7 @@ from schurdiv.schur_search import BudgetExhausted, exists_valid_coloring, schur_
 
 VARIANTS = [
     (l, restricted, allow_equal)
-    for l in range(1, 5)
+    for l in range(1, 6)
     for restricted in (False, True)
     for allow_equal in (True, False)
 ]
@@ -36,8 +40,9 @@ SPLIT_DEPTHS = (1, 3, 5, 8)
 
 
 def _heavy(l, n, restricted, allow_equal):
-    """Exact classical 4-color searches from n = 44 on take 10^6 nodes or more."""
-    return l == 4 and not restricted and allow_equal and n >= 44
+    """Exact classical 4-color searches from n = 44 on take 10^6 nodes or
+    more; five colors are searched under budgets only."""
+    return l == 5 or (l == 4 and not restricted and allow_equal and n >= 44)
 
 
 def _old(l, n, restricted, allow_equal, max_nodes=None):
