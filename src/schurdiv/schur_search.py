@@ -10,9 +10,9 @@ per color c two bitsets over 1..n: members[c], and banned[c], the
 integers c would complete a forbidden triple on.  Assigning v to c ORs
 `(members[c] & pairs[v]) << v` into banned[c]; the branch dies, before
 anything is written, once a new ban hits an integer every other color
-bans.  Undo restores banned[c] and members[c].  Seeding a prefix,
-enumerating prefixes and the search all run this one step (bitwise
-backtracking, Knuth TAOCP 7.2.2).
+bans.  Undo restores banned[c] and members[c].  Enumerating prefixes
+and the search both run this one step (bitwise backtracking, Knuth
+TAOCP 7.2.2).
 
 Twin subtrees are counted, not walked.  At a v no later pair reads
 (restricted: every v > n/3), all used colors that ban nothing leave the
@@ -27,15 +27,16 @@ found under this fixed branching order is deterministic.
 W(l) is the largest n admitting a valid coloring and S(l) = W(l) + 1 the
 least n forcing a monochromatic triple; `schur_number` reports exact
 values only when the search both produced a witness for W and exhausted
-the tree for W + 1.  Node and wall-clock budgets, and in one process the
-recursion limit, turn into a lower_bound status, never an error.
+the tree for W + 1.  Node and wall-clock budgets, and the recursion
+limit, turn into a lower_bound status, never an error.
 
-Optional multi-process search splits the tree at prefix depth
-SPLIT_DEPTH; every subtree must be exhausted for a refutation, so exact
-results and node counts are independent of scheduling.  `schur_number`
-keeps one process pool for all n it searches, with at most one worker
-per CPU.  A search with a node or wall-clock budget runs in one
-process, where the budget is polled exactly.
+Optional multi-process search splits the tree into cubes, the subtrees
+below each viable coloring of 1..SPLIT_DEPTH.  A worker starts a cube
+from the members, bans and node count the prefix enumeration recorded;
+counted in walk order, a threaded search reports the single-process
+witness and nodes.  `schur_number` keeps one process pool for all n, at
+most one worker per CPU.  A search with a node or wall-clock budget runs
+in one process, where the budget is polled exactly.
 `concurrent.futures` is imported by `_process_pool` on the first
 threaded call, so a single-process run never loads multiprocessing.
 
@@ -130,14 +131,15 @@ class _Searcher:
     """One depth-first search over colorings of {1..n} with l colors.
 
     `_extend` holds the only assign/undo step.  It searches to `depth`,
-    stopping at the first leaf, or recording leaves while `prefixes` is a
-    list.  A node tests its new bans against the other colors, lowest
-    first, before it writes; the new color max_used + 1 then has its own
-    path: with no member it bans at most 2v and is never a twin.  `run`
-    builds `levels`, (pairs[v], 1 << v, twin-eligible) per v.  Budgets
-    are polled only at node count `poll_at`: the node limit raises at
-    max_nodes + 1, the deadline is read every 2048 nodes (once per reused
-    twin subtree, at the first multiple it crosses)."""
+    stopping at the first leaf, or recording each leaf's state while
+    `prefixes` is a list; `resume` searches on from such a state.  A node
+    tests its new bans against the other colors, lowest first, before it
+    writes; the new color max_used + 1 then has its own path: with no
+    member it bans at most 2v and is never a twin.  `run` builds `levels`,
+    (pairs[v], 1 << v, twin-eligible) per v.  Budgets are polled only at
+    node count `poll_at`: the node limit raises at max_nodes + 1, the
+    deadline is read every 2048 nodes (once per reused twin subtree, at
+    the first multiple it crosses)."""
 
     __slots__ = ("l", "n", "pairs", "forget", "members", "banned", "used", "others", "levels", "nodes",
                  "depth", "prefixes", "max_nodes", "deadline", "poll_at")
@@ -197,36 +199,34 @@ class _Searcher:
                 m ^= low
         return colors[1:]
 
-    def seed_prefix(self, prefix: Sequence[int]) -> bool:
-        """Install a partial coloring of 1..len(prefix); False on conflict or
-        when it breaks the symmetry rule.  Banning every other color on the
-        prefix makes `_extend` walk straight down it, uncounted."""
-        for d in range(self.l):
-            self.banned[d] |= sum(1 << v for v, c in enumerate(prefix, start=1) if c != d)
-        saved = self.nodes, self.poll_at
-        self.depth, self.poll_at = len(prefix), sys.maxsize
-        ok = self.run(1, -1) is not None
-        self.depth, (self.nodes, self.poll_at) = self.n, saved
-        return ok
-
-    def collect_prefixes(self, depth: int) -> list[tuple[int, ...]]:
-        """All viable partial colorings of 1..depth under the branching rules;
-        their nodes count towards `nodes`."""
+    def collect_prefixes(self, depth: int) -> list[tuple[list[int], list[int], int]]:
+        """The state at each viable coloring of 1..depth, in walk order:
+        copies of `members` and `banned`, and `nodes` on reaching it."""
         self.depth, self.prefixes = depth, []
         self.run(1, -1)
         prefixes, self.depth, self.prefixes = self.prefixes, self.n, None
         return prefixes
 
+    def resume(self, members: list[int], banned: list[int]) -> list[int] | None:
+        """Search on from a state `collect_prefixes` recorded: its depth is
+        its highest member, and max_used its highest color with a member."""
+        self.members, self.banned = members, banned
+        return self.run(max(members).bit_length(), max(c for c, m in enumerate(members) if m))
+
     def run(self, start_v: int, max_used: int) -> list[int] | None:
         twins = self.prefixes is None
         self.levels = [(p, 1 << u, f and twins) for u, (p, f) in enumerate(zip(self.pairs, self.forget))]
-        return self.coloring() if self._extend(start_v, max_used) else None
+        try:
+            found = self._extend(start_v, max_used)
+        except RecursionError:  # one frame per integer: a search too deep stops as if cut by a budget
+            raise BudgetExhausted(self.nodes) from None
+        return self.coloring() if found else None
 
     def _extend(self, v: int, max_used: int) -> bool:
         if v > self.depth:
             if self.prefixes is None:
                 return True
-            self.prefixes.append(tuple(self.coloring()))
+            self.prefixes.append((self.members[:], self.banned[:], self.nodes))
             return False
         banned = self.banned
         members = self.members
@@ -288,12 +288,10 @@ class _Searcher:
         return False
 
 
-def _subtree_worker(args) -> tuple[list[int] | None, int]:
-    l, n, restricted, prefix = args
+def _cube_worker(args) -> tuple[list[int] | None, int]:
+    l, n, restricted, members, banned = args
     searcher = _Searcher(l, n, restricted)
-    if not searcher.seed_prefix(prefix):
-        return None, 0
-    return searcher.run(len(prefix) + 1, max(prefix)), searcher.nodes
+    return searcher.resume(members, banned), searcher.nodes
 
 
 def exists_valid_coloring(
@@ -342,32 +340,31 @@ def _exists(l, n, restricted, max_nodes, max_seconds, pool):
     if pool is not None and n > SPLIT_DEPTH and max_nodes is None and max_seconds is None:
         return _exists_parallel(l, n, restricted, pool)
     searcher = _Searcher(l, n, restricted, max_nodes, max_seconds)
-    try:
-        return searcher.run(1, -1), searcher.nodes
-    except RecursionError:  # one frame per integer: a search too deep stops as if cut by a budget
-        raise BudgetExhausted(searcher.nodes) from None
+    return searcher.run(1, -1), searcher.nodes
 
 
 def _exists_parallel(l: int, n: int, restricted: bool, pool) -> tuple[list[int] | None, int]:
-    """Search each prefix of 1..SPLIT_DEPTH (a cube) in a pool worker.
-    Returns the first witness in prefix order and the nodes of the prefix
-    enumeration plus those of every cube up to the witness's: independent
-    of scheduling, and the single-process count for a refutation.  Cubes
-    still pending once the witness is in are cancelled."""
+    """Search each cube in a pool worker from its recorded state.  The
+    one-process walk visits the prefix nodes up to cube i's leaf, then cube
+    i: so a witness or a cut (the recursion limit) in cube i counts `at` of
+    that leaf plus cubes 0..i, a refutation the whole enumeration plus all
+    cubes.  Returning closes `results`, which cancels the pending cubes."""
     base = _Searcher(l, n, restricted)
-    prefixes = base.collect_prefixes(SPLIT_DEPTH)
-    nodes = base.nodes
-    cubes = [pool.submit(_subtree_worker, (l, n, restricted, prefix)) for prefix in prefixes]
+    cubes = base.collect_prefixes(SPLIT_DEPTH)
+    results = pool.map(_cube_worker, [(l, n, restricted, members, banned) for members, banned, _ in cubes])
+    nodes = 0  # the nodes of the cubes before cube i
     try:
-        for cube in cubes:
-            witness, cube_nodes = cube.result()
+        for _, _, at in cubes:
+            try:
+                witness, cube_nodes = next(results)
+            except BudgetExhausted as cut:
+                raise BudgetExhausted(at + nodes + cut.nodes) from None
             nodes += cube_nodes
             if witness is not None:
-                return witness, nodes
+                return witness, at + nodes
     finally:
-        for cube in cubes:
-            cube.cancel()
-    return None, nodes
+        results.close()
+    return None, base.nodes + nodes
 
 
 class SearchStats(NamedTuple):

@@ -503,12 +503,8 @@ def inline_pools(monkeypatch):
             return False
 
         def map(self, fn, items):
-            return map(fn, items)
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
+            # A generator, as Executor.map returns: callers may close it.
+            return (fn(item) for item in items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)

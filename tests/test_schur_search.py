@@ -192,14 +192,22 @@ class TestSchurNumber:
         result = schur_number(2, max_n=3)
         assert (result.status, result.W) == ("lower_bound", 3)
 
+    # The first W = 44 witness that the search-seq benchmark checks.
+    WITNESS_44 = [
+        0, 1, 0, 2, 0, 2, 1, 1, 3, 3, 3, 3, 2, 3, 0, 3, 0, 1, 0, 2, 1, 2,
+        2, 1, 2, 0, 1, 0, 3, 2, 3, 2, 1, 3, 3, 3, 1, 1, 2, 0, 2, 0, 1, 0,
+    ]
+
     def test_four_colors_to_44(self):
-        # The first W = 44 witness that the search-seq benchmark checks.
         result = schur_number(4, max_n=44)
         assert (result.status, result.W, result.stats.nodes) == ("lower_bound", 44, 1_095_044)
-        assert result.witness_coloring == [
-            0, 1, 0, 2, 0, 2, 1, 1, 3, 3, 3, 3, 2, 3, 0, 3, 0, 1, 0, 2, 1, 2,
-            2, 1, 2, 0, 1, 0, 3, 2, 3, 2, 1, 3, 3, 3, 1, 1, 2, 0, 2, 0, 1, 0,
-        ]
+        assert result.witness_coloring == self.WITNESS_44
+
+    def test_four_colors_to_44_threaded(self):
+        # Cubes counted in walk order: the single-process nodes and witness.
+        result = schur_number(4, max_n=44, threads=2)
+        assert (result.status, result.W, result.stats.nodes) == ("lower_bound", 44, 1_095_044)
+        assert result.witness_coloring == self.WITNESS_44
 
     def test_restricted_three_colors_under_three_million_nodes(self):
         result = schur_number(3, restricted=True, max_nodes=3_000_000)
@@ -215,10 +223,10 @@ class TestSchurNumber:
 
 
 class TestDeepSearch:
-    """The search recurses once per integer.  In one process, a search
-    deeper than the recursion limit stops as a budget cut does: the library
-    raises BudgetExhausted and `schur` reports a lower bound.  A lowered
-    limit in a fresh interpreter keeps the run short."""
+    """The search recurses once per integer.  In one process or in a cube
+    worker, a search deeper than the recursion limit stops as a budget cut
+    does: the library raises BudgetExhausted and `schur` reports a lower
+    bound.  A lowered limit in a fresh interpreter keeps the run short."""
 
     def _run(self, code):
         src = str(Path(schur_search.__file__).resolve().parents[1])
@@ -236,6 +244,17 @@ class TestDeepSearch:
             "    print(0 < exc.nodes < 200000)\n"
         )
         assert (out.returncode, out.stdout.split()) == (0, ["100", "True"]), out.stderr
+
+    def test_threaded_library_raises_budget_exhausted(self):
+        # Five colors: the second worker's cube soon hits the limit too.
+        out = self._run(
+            "from schurdiv.schur_search import BudgetExhausted, exists_valid_coloring\n"
+            "try:\n"
+            "    exists_valid_coloring(5, 300, restricted=True, threads=2)\n"
+            "except BudgetExhausted as exc:\n"
+            "    print(exc.nodes > 0)\n"
+        )
+        assert (out.returncode, out.stdout.split()) == (0, ["True"]), out.stderr
 
     def test_schur_reports_a_lower_bound(self):
         out = self._run(

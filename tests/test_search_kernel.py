@@ -2,8 +2,10 @@
 
 `oracle_search.py` keeps the old kernel verbatim.  Over a deterministic
 sweep both must give the same first witness, the same node count, the
-same budget cut, the same prefix lists and the same seeded subtrees,
-because the branching order and the pruning are unchanged.
+same budget cut and the same prefix lists, because the branching order
+and the pruning are unchanged.  Each cube, run from the state the prefix
+enumeration recorded, must be the oracle's search seeded with the
+cube's prefix.
 
 The sweep covers two problems: x + y = z with x <= y, the only one
 schurdiv searches, and with x < y.  The kernel reads its triples only
@@ -12,7 +14,7 @@ table, so the x < y searcher is the same kernel with those two tables
 rebuilt; the oracle keeps its own x < y pair table.  Only x < y reuses
 a twin subtree before a fast witness.  Five colors run under budgets
 only.  A new color bans 2v at most, and no pair of integers below v bans
-2v, so outside a seeded prefix its death test fires only with one
+2v, so below the split depth its death test fires only with one
 color: the l = 1 cases guard it.
 """
 
@@ -21,7 +23,6 @@ import os
 import time
 from contextlib import suppress
 from concurrent.futures import ProcessPoolExecutor
-from itertools import product as iproduct
 
 import pytest
 
@@ -60,27 +61,23 @@ def _new(l, n, restricted, allow_equal, max_nodes=None):
     return searcher
 
 
-def _outcome(kernel, l, n, restricted, allow_equal, max_nodes, seed=()):
+def _outcome(kernel, l, n, restricted, allow_equal, max_nodes):
     searcher = kernel(l, n, restricted, allow_equal, max_nodes)
-    if seed:
-        if not searcher.seed_prefix(seed):
-            return ("conflict", searcher.nodes)
-        start, max_used = len(seed) + 1, max(seed)
-    else:
-        start, max_used = 1, -1
+    return _result(searcher, lambda: searcher.run(1, -1))
+
+
+def _result(searcher, search):
     try:
-        witness = searcher.run(start, max_used)
+        witness = search()
     except BudgetExhausted as exc:
         assert exc.nodes == searcher.nodes
         return ("budget", exc.nodes)
     return ("done", witness, searcher.nodes)
 
 
-def _symmetric_prefixes(l, d):
-    """Every coloring of 1..d that opens its colors in index order."""
-    for prefix in iproduct(range(l), repeat=d):
-        if all(c <= max(prefix[:i], default=-1) + 1 for i, c in enumerate(prefix)):
-            yield prefix
+def _colors(members):
+    """The coloring of 1..depth held by a recorded cube state."""
+    return tuple(next(c for c, m in enumerate(members) if m >> v & 1) for v in range(1, max(members).bit_length()))
 
 
 @pytest.mark.parametrize("l,restricted,allow_equal", VARIANTS)
@@ -98,26 +95,23 @@ def test_collect_prefixes_match_oracle(l, restricted, allow_equal):
     for n in (9, 20, 45):
         for depth in SPLIT_DEPTHS:
             want = _old(l, n, restricted, allow_equal).collect_prefixes(depth)
-            assert _new(l, n, restricted, allow_equal).collect_prefixes(depth) == want, (n, depth)
+            cubes = _new(l, n, restricted, allow_equal).collect_prefixes(depth)
+            assert [_colors(members) for members, _, _ in cubes] == want, (n, depth)
 
 
 @pytest.mark.parametrize("l,restricted,allow_equal", VARIANTS)
 def test_seeded_subtrees_match_oracle(l, restricted, allow_equal):
     for n in (6, 13, 24):
         for d in range(1, 5):
-            for prefix in _symmetric_prefixes(l, d):
-                want = _outcome(_old, l, n, restricted, allow_equal, 500, prefix)
-                got = _outcome(_new, l, n, restricted, allow_equal, 500, prefix)
-                assert got == want, (n, prefix)
-
-
-def test_seed_rejects_broken_symmetry():
-    def seeded(prefix):
-        searcher = _new(3, 10, False, True)
-        return searcher.seed_prefix(prefix), searcher.nodes
-
-    assert seeded((1, 0)) == (False, 0)
-    assert seeded((0, 1)) == (True, 0)
+            for members, banned, _ in _new(l, n, restricted, allow_equal).collect_prefixes(d):
+                prefix = _colors(members)
+                old = _old(l, n, restricted, allow_equal, 500)
+                assert old.seed_prefix(prefix), (n, prefix)
+                assert banned == [sum(1 << v for v, mask in enumerate(old.banned) if mask >> c & 1)
+                                  for c in range(l)], (n, prefix)
+                want = _result(old, lambda: old.run(d + 1, max(prefix)))
+                new = _new(l, n, restricted, allow_equal, 500)
+                assert _result(new, lambda: new.resume(members, banned)) == want, (n, prefix)
 
 
 def test_public_entry_matches_oracle():
@@ -160,18 +154,18 @@ class TestParallelNodes:
 
     def test_witness_cube_total_is_deterministic(self, monkeypatch):
         monkeypatch.setattr(schur_search, "SPLIT_DEPTH", 4)
+        seq = _new(3, 13, False, True)
         with ProcessPoolExecutor(max_workers=2) as pool:
             first = schur_search._exists_parallel(3, 13, False, pool)
             again = schur_search._exists_parallel(3, 13, False, pool)
-        assert first == again
-        assert first[0] == exists_valid_coloring(3, 13)
+        assert first == again == (seq.run(1, -1), seq.nodes)
 
     def test_schur_number_reports_worker_nodes(self, monkeypatch):
         seq = schur_number(3)
         monkeypatch.setattr(schur_search, "SPLIT_DEPTH", 5)
         par = schur_number(3, threads=2)
         assert (par.W, par.S, par.witness_coloring) == (seq.W, seq.S, seq.witness_coloring)
-        assert par.stats.nodes >= seq.stats.nodes
+        assert par.stats.nodes == seq.stats.nodes
 
     def test_schur_number_reuses_one_pool(self, monkeypatch):
         built = []
@@ -188,10 +182,8 @@ class TestParallelNodes:
         par = schur_number(3, threads=2)
         assert built == [{"max_workers": 2}]
         assert (par.W, par.S, par.witness_coloring) == (seq.W, seq.S, seq.witness_coloring)
-        # The total of a fresh pool per n.  It exceeds the single-process
-        # 397 because the prefix enumeration of each witnessed n also
-        # visits the prefixes after the witness cube.
-        assert (seq.stats.nodes, par.stats.nodes) == (397, 449)
+        # A witnessed n counts the prefix nodes up to its cube's leaf only.
+        assert (seq.stats.nodes, par.stats.nodes) == (397, 397)
 
 
 class TestTwinReuse:
