@@ -268,6 +268,10 @@ def parse_coloring_spec(spec: str) -> Coloring:
             raise ColoringSpecError(spec, body_pos, f"bad JSON in {path}: {exc}") from None
         if not isinstance(table, list) or not all(type(c) is int for c in table):
             raise ColoringSpecError(spec, body_pos, f"{path} must hold a JSON array of integers")
+        if not table:
+            raise ColoringSpecError(spec, body_pos, f"{path} holds an empty array")
+        if min(table) < 0:
+            raise ColoringSpecError(spec, body_pos, "colors must be >= 0")
         return ExplicitColoring(table)
     if head == "unity":
         parts = rest.split(":")

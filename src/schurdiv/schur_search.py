@@ -10,15 +10,19 @@ per color c two bitsets over 1..n: members[c], and banned[c], the
 integers c would complete a forbidden triple on.  Assigning v to c ORs
 `(members[c] & pairs[v]) << v` into banned[c]; the branch dies, before
 anything is written, once a new ban hits an integer every other color
-bans.  Undo restores banned[c] and members[c].  Enumerating prefixes
-and the search both run this one step (bitwise backtracking, Knuth
-TAOCP 7.2.2).
+bans.  Undo restores banned[c] and members[c].  Used and new colors,
+prefix enumeration and the search all run this one step (bitwise
+backtracking, Knuth TAOCP 7.2.2).
 
-Twin subtrees are counted, not walked.  At a v no later pair reads
-(restricted: every v > n/3), all used colors that ban nothing leave the
-same future; once the first is refuted after N nodes, each later one
-adds its own node plus N.  `nodes` counts the plain walk, so a timed
-restricted run can report over 10^10.  Prefix recording turns this off.
+Twin subtrees are counted, not walked.  Every v <= n/2 is its own
+partner (v + v = 2v), so a color bans nothing at v only when v > n/2,
+where no later pair reads v.  All colors that ban nothing there leave
+the same future; once the first is refuted after N nodes, each later one
+adds its own node plus N.  The new color is never one of them: while a
+color is unopened, putting all of v+1..n in it is valid (any two sum
+past n), so no twin is refuted.  `nodes` counts the plain walk, so a
+timed restricted run can report over 10^10.  Prefix recording turns
+this off.
 
 Symmetry breaking: integer 1 always takes color 0, and a new color index
 may only be used once all smaller indices appear.  The first witness
@@ -90,8 +94,11 @@ class BudgetExhausted(Exception):
     """Search stopped by a node or wall-clock budget."""
 
     def __init__(self, nodes: int):
+        super().__init__(nodes)  # the only argument, so a pickled copy is rebuilt from it
         self.nodes = nodes
-        super().__init__(f"search budget exhausted after {nodes} nodes")
+
+    def __str__(self) -> str:
+        return f"search budget exhausted after {self.nodes} nodes"
 
 
 class CacheError(RuntimeError):
@@ -130,18 +137,17 @@ def validate_coloring(colors: Sequence[int], restricted: bool) -> list[Forbidden
 class _Searcher:
     """One depth-first search over colorings of {1..n} with l colors.
 
-    `_extend` holds the only assign/undo step.  It searches to `depth`,
-    stopping at the first leaf, or recording each leaf's state while
-    `prefixes` is a list; `resume` searches on from such a state.  A node
-    tests its new bans against the other colors, lowest first, before it
-    writes; the new color max_used + 1 then has its own path: with no
-    member it bans at most 2v and is never a twin.  `run` builds `levels`,
-    (pairs[v], 1 << v, twin-eligible) per v.  Budgets are polled only at
-    node count `poll_at`: the node limit raises at max_nodes + 1, the
-    deadline is read every 2048 nodes (once per reused twin subtree, at
-    the first multiple it crosses)."""
+    `_extend` holds the only assign/undo step, for used and new colors
+    alike.  It searches to `depth`, stopping at the first leaf, or
+    recording each leaf's state while `prefixes` is a list; `resume`
+    searches on from such a state.  A node tests its new bans against the
+    other colors, lowest first, before it writes.  `levels[v]` is
+    (pairs[v], 1 << v).  Budgets are polled only at node count `poll_at`:
+    the node limit raises at max_nodes + 1, the deadline is read every
+    2048 nodes (once per reused twin subtree, at the first multiple it
+    crosses)."""
 
-    __slots__ = ("l", "n", "pairs", "forget", "members", "banned", "used", "others", "levels", "nodes",
+    __slots__ = ("l", "n", "members", "banned", "colors", "others", "levels", "nodes",
                  "depth", "prefixes", "max_nodes", "deadline", "poll_at")
 
     def __init__(self, l: int, n: int, restricted: bool, max_nodes: int | None = None,
@@ -149,16 +155,14 @@ class _Searcher:
         self.l = l
         self.n = n
         # pairs[y]: bit x for each forbidden (x, y, x + y); x <= y, so bans land above y.
-        self.pairs = [0] * (n + 1)
-        self.forget = [True] * (n + 1)  # forget[v]: no later step reads bit v of members
+        pairs = [0] * (n + 1)
         for x, y, _ in _triples(n, restricted):
-            self.pairs[y] |= 1 << x
-            if y > x:
-                self.forget[x] = False
+            pairs[y] |= 1 << x
+        self.levels = [(p, 1 << v) for v, p in enumerate(pairs)]
         self.members = [0] * l
         self.banned = [0] * l
-        # used[max_used + 1]: the colors in use; others[c]: every other color.
-        self.used = [range(k) for k in range(l + 1)]
+        # colors[max_used + 1]: the colors in use and the next new one; others[c]: every other color.
+        self.colors = [range(min(k + 1, l)) for k in range(l + 1)]
         self.others = [[d for d in range(l) if d != c] for c in range(l)]
         self.nodes = 0
         self.depth = n
@@ -214,8 +218,6 @@ class _Searcher:
         return self.run(max(members).bit_length(), max(c for c, m in enumerate(members) if m))
 
     def run(self, start_v: int, max_used: int) -> list[int] | None:
-        twins = self.prefixes is None
-        self.levels = [(p, 1 << u, f and twins) for u, (p, f) in enumerate(zip(self.pairs, self.forget))]
         try:
             found = self._extend(start_v, max_used)
         except RecursionError:  # one frame per integer: a search too deep stops as if cut by a budget
@@ -230,9 +232,9 @@ class _Searcher:
             return False
         banned = self.banned
         members = self.members
-        pairs_v, bit, twin_ok = self.levels[v]
+        pairs_v, bit = self.levels[v]
         twin = None
-        for c in self.used[max_used + 1]:
+        for c in self.colors[max_used + 1]:
             b = banned[c]
             if b & bit:
                 continue
@@ -256,7 +258,7 @@ class _Searcher:
                     continue
                 members[c] = m
                 banned[c] = b | hits
-                if self._extend(v + 1, max_used):
+                if self._extend(v + 1, c if c > max_used else max_used):
                     return True
                 banned[c] = b
             elif twin is not None:
@@ -265,26 +267,11 @@ class _Searcher:
                 continue
             else:
                 members[c] = m
-                if self._extend(v + 1, max_used):
+                if self._extend(v + 1, c if c > max_used else max_used):
                     return True
-                if twin_ok:
+                if self.prefixes is None:  # a recorded leaf returns False, which refutes nothing
                     twin = self.nodes - nodes
             members[c] = old
-        c = max_used + 1
-        if c == self.l or banned[c] & bit:
-            return False
-        self.nodes += 1
-        if self.nodes >= self.poll_at:
-            self._poll(self.nodes)
-        # The new color has no members: v's one partner in it is v itself, banning 2v.
-        hits = (pairs_v & bit) << v
-        if hits and all(banned[d] & hits for d in self.others[c]):
-            return False
-        b = banned[c]
-        members[c], banned[c] = bit, b | hits
-        if self._extend(v + 1, c):
-            return True
-        members[c], banned[c] = 0, b
         return False
 
 

@@ -163,6 +163,13 @@ class TestWitness:
         assert code == 2
         assert "position" in err
 
+    def test_empty_explicit_table_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "colors.json"
+        path.write_text("[]")
+        code, out, err = run(capsys, "witness", "--coloring", f"explicit:{path}", "--via", "direct")
+        assert (code, out) == (2, "")
+        assert "position 9" in err
+
     def test_modulus_below_one_is_usage_error(self, capsys):
         code, out, err = run(capsys, "witness", "--coloring", "mod:0:", "--via", "direct")
         assert (code, out) == (2, "")

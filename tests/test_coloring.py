@@ -273,6 +273,15 @@ class TestSpecGrammar:
         with pytest.raises(ColoringSpecError, match="JSON array of integers"):
             parse_coloring_spec(f"explicit:{path}")
 
+    @pytest.mark.parametrize("table,message", [([], "empty array"), ([0, -1, 2], "colors must be >= 0")],
+                             ids=["empty", "negative"])
+    def test_explicit_rejects_bad_tables(self, tmp_path, table, message):
+        path = tmp_path / "colors.json"
+        path.write_text(json.dumps(table))
+        with pytest.raises(ColoringSpecError, match=message) as info:
+            parse_coloring_spec(f"explicit:{path}")
+        assert info.value.position == 9
+
     def test_explicit_missing_file(self, tmp_path):
         with pytest.raises(ColoringSpecError):
             parse_coloring_spec(f"explicit:{tmp_path}/nope.json")

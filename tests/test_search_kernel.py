@@ -7,19 +7,18 @@ and the pruning are unchanged.  Each cube, run from the state the prefix
 enumeration recorded, must be the oracle's search seeded with the
 cube's prefix.
 
-The sweep covers two problems: x + y = z with x <= y, the only one
-schurdiv searches, and with x < y.  The kernel reads its triples only
-through `pairs` and `forget`, which each walk copies into its per-level
-table, so the x < y searcher is the same kernel with those two tables
-rebuilt; the oracle keeps its own x < y pair table.  Only x < y reuses
-a twin subtree before a fast witness.  Five colors run under budgets
-only.  A new color bans 2v at most, and no pair of integers below v bans
-2v, so below the split depth its death test fires only with one
-color: the l = 1 cases guard it.
+The oracle also searches x + y = z with x < y, but the kernel only
+x <= y, the one problem schurdiv searches: its twin rule relies on every
+v <= n/2 being its own partner.  So every case passes the oracle
+allow_equal = True.  Five colors run under budgets only.  A new color
+bans 2v at most, and no pair of integers below v bans 2v, so below the
+split depth its death test fires only with one color: the l = 1 cases
+guard it.
 """
 
 import concurrent.futures
 import os
+import pickle
 import time
 from contextlib import suppress
 from concurrent.futures import ProcessPoolExecutor
@@ -30,39 +29,27 @@ import oracle_search
 from schurdiv import schur_search
 from schurdiv.schur_search import BudgetExhausted, exists_valid_coloring, schur_number
 
-VARIANTS = [
-    (l, restricted, allow_equal)
-    for l in range(1, 6)
-    for restricted in (False, True)
-    for allow_equal in (True, False)
-]
+# (l, restricted, allow_equal): allow_equal is the oracle's, always True.
+VARIANTS = [(l, restricted, True) for l in range(1, 6) for restricted in (False, True)]
 
 SPLIT_DEPTHS = (1, 3, 5, 8)
 
 
-def _heavy(l, n, restricted, allow_equal):
+def _heavy(l, n, restricted):
     """Exact classical 4-color searches from n = 44 on take 10^6 nodes or
     more; five colors are searched under budgets only."""
-    return l == 5 or (l == 4 and not restricted and allow_equal and n >= 44)
+    return l == 5 or (l == 4 and not restricted and n >= 44)
 
 
 def _old(l, n, restricted, allow_equal, max_nodes=None):
     return oracle_search._Searcher(l, n, restricted, allow_equal, oracle_search._Budget(max_nodes, None))
 
 
-def _new(l, n, restricted, allow_equal, max_nodes=None):
-    searcher = schur_search._Searcher(l, n, restricted, max_nodes)
-    if not allow_equal:
-        searcher.pairs, searcher.forget = [0] * (n + 1), [True] * (n + 1)
-        for x, y, _ in schur_search._triples(n, restricted):
-            if x < y:
-                searcher.pairs[y] |= 1 << x
-                searcher.forget[x] = False
-    return searcher
+def _new(l, n, restricted, max_nodes=None):
+    return schur_search._Searcher(l, n, restricted, max_nodes)
 
 
-def _outcome(kernel, l, n, restricted, allow_equal, max_nodes):
-    searcher = kernel(l, n, restricted, allow_equal, max_nodes)
+def _outcome(searcher):
     return _result(searcher, lambda: searcher.run(1, -1))
 
 
@@ -83,11 +70,10 @@ def _colors(members):
 @pytest.mark.parametrize("l,restricted,allow_equal", VARIANTS)
 def test_search_matches_oracle(l, restricted, allow_equal):
     for n in range(1, 51):
-        budgets = (37, 20_000) if _heavy(l, n, restricted, allow_equal) else (None, 37)
+        budgets = (37, 20_000) if _heavy(l, n, restricted) else (None, 37)
         for max_nodes in budgets:
-            want = _outcome(_old, l, n, restricted, allow_equal, max_nodes)
-            got = _outcome(_new, l, n, restricted, allow_equal, max_nodes)
-            assert got == want, (n, max_nodes)
+            want = _outcome(_old(l, n, restricted, allow_equal, max_nodes))
+            assert _outcome(_new(l, n, restricted, max_nodes)) == want, (n, max_nodes)
 
 
 @pytest.mark.parametrize("l,restricted,allow_equal", VARIANTS)
@@ -95,7 +81,7 @@ def test_collect_prefixes_match_oracle(l, restricted, allow_equal):
     for n in (9, 20, 45):
         for depth in SPLIT_DEPTHS:
             want = _old(l, n, restricted, allow_equal).collect_prefixes(depth)
-            cubes = _new(l, n, restricted, allow_equal).collect_prefixes(depth)
+            cubes = _new(l, n, restricted).collect_prefixes(depth)
             assert [_colors(members) for members, _, _ in cubes] == want, (n, depth)
 
 
@@ -103,20 +89,20 @@ def test_collect_prefixes_match_oracle(l, restricted, allow_equal):
 def test_seeded_subtrees_match_oracle(l, restricted, allow_equal):
     for n in (6, 13, 24):
         for d in range(1, 5):
-            for members, banned, _ in _new(l, n, restricted, allow_equal).collect_prefixes(d):
+            for members, banned, _ in _new(l, n, restricted).collect_prefixes(d):
                 prefix = _colors(members)
                 old = _old(l, n, restricted, allow_equal, 500)
                 assert old.seed_prefix(prefix), (n, prefix)
                 assert banned == [sum(1 << v for v, mask in enumerate(old.banned) if mask >> c & 1)
                                   for c in range(l)], (n, prefix)
                 want = _result(old, lambda: old.run(d + 1, max(prefix)))
-                new = _new(l, n, restricted, allow_equal, 500)
+                new = _new(l, n, restricted, 500)
                 assert _result(new, lambda: new.resume(members, banned)) == want, (n, prefix)
 
 
 def test_public_entry_matches_oracle():
     for l, n, restricted in ((3, 13, False), (3, 14, False), (4, 43, False), (3, 60, True)):
-        want = _outcome(_old, l, n, restricted, True, None)
+        want = _outcome(_old(l, n, restricted, True))
         assert exists_valid_coloring(l, n, restricted) == want[1]
 
 
@@ -138,6 +124,10 @@ class TestBudgetPoll:
     def test_zero_seconds_raises_at_first_poll(self):
         assert self._cut(max_seconds=0) == 2048
 
+    def test_cut_survives_pickling(self):
+        cut = pickle.loads(pickle.dumps(BudgetExhausted(42)))
+        assert (cut.nodes, str(cut)) == (42, "search budget exhausted after 42 nodes")
+
     def test_zero_seconds_schur_number(self):
         result = schur_number(4, max_seconds=0)
         assert (result.status, result.W, result.stats.nodes) == ("lower_bound", 39, 7642)
@@ -145,7 +135,7 @@ class TestBudgetPoll:
 
 class TestParallelNodes:
     def test_refutation_counts_every_node(self, monkeypatch):
-        seq = _new(3, 14, False, True)
+        seq = _new(3, 14, False)
         assert seq.run(1, -1) is None
         with ProcessPoolExecutor(max_workers=2) as pool:
             for depth in (3, 5):
@@ -154,7 +144,7 @@ class TestParallelNodes:
 
     def test_witness_cube_total_is_deterministic(self, monkeypatch):
         monkeypatch.setattr(schur_search, "SPLIT_DEPTH", 4)
-        seq = _new(3, 13, False, True)
+        seq = _new(3, 13, False)
         with ProcessPoolExecutor(max_workers=2) as pool:
             first = schur_search._exists_parallel(3, 13, False, pool)
             again = schur_search._exists_parallel(3, 13, False, pool)
@@ -187,25 +177,22 @@ class TestParallelNodes:
 
 
 class TestTwinReuse:
-    """Restricted cases where the kernel reuses the node count of a refuted
-    twin subtree instead of walking it again; the outcome, node count and
-    budget cut must still be the oracle's.  Under x < y (allow_equal
-    false) the n = 100 witness comes before any reuse, and n = 126 reuses
-    304 subtrees before its witness at 25,073 nodes.  Under x <= y no fast
-    witness follows a reuse: up to n = 111 none is needed, and n = 112
-    takes about 1.4 * 10^11 counted nodes."""
+    """A restricted case where the kernel reuses the node count of a
+    refuted twin subtree instead of walking it again; the outcome, node
+    count and budget cut must still be the oracle's.  No fast witness
+    follows a reuse: up to n = 111 none is needed, and n = 112 takes about
+    1.4 * 10^11 counted nodes."""
 
-    CASES = [(3, 112, True), (3, 100, False), (3, 126, False)]
+    CASES = [(3, 112, True)]
     BUDGETS = (1_000, 4_096, 20_000, 77_777, 200_000)
 
     @pytest.mark.parametrize("l,n,allow_equal", CASES)
     def test_matches_oracle(self, l, n, allow_equal):
         for max_nodes in self.BUDGETS:
-            want = _outcome(_old, l, n, True, allow_equal, max_nodes)
-            got = _outcome(_new, l, n, True, allow_equal, max_nodes)
-            assert got == want, max_nodes
+            want = _outcome(_old(l, n, True, allow_equal, max_nodes))
+            assert _outcome(_new(l, n, True, max_nodes)) == want, max_nodes
 
-    @pytest.mark.parametrize("l,n,allow_equal", [(3, 112, True), (3, 126, False)])
+    @pytest.mark.parametrize("l,n,allow_equal", CASES)
     def test_reuse_skips_the_walk(self, monkeypatch, l, n, allow_equal):
         calls = []
         extend = schur_search._Searcher._extend
@@ -215,18 +202,17 @@ class TestTwinReuse:
             return extend(self, v, max_used)
 
         monkeypatch.setattr(schur_search._Searcher, "_extend", counting)
-        searcher = _new(l, n, True, allow_equal, 200_000)
+        searcher = _new(l, n, True, 200_000)
         with suppress(BudgetExhausted):
             searcher.run(1, -1)
         assert len(calls) < searcher.nodes / 10
 
-    def test_forgotten_levels(self):
-        # Restricted: v is read again iff v + 2v = 3v <= n.
-        searcher = _new(3, 30, True, True)
-        assert [v for v in range(1, 31) if not searcher.forget[v]] == list(range(1, 11))
-        # Classical: x is read again as long as some y > x has x + y <= n.
-        searcher = _new(3, 30, False, True)
-        assert [v for v in range(1, 31) if not searcher.forget[v]] == list(range(1, 15))
+    def test_low_integers_are_their_own_partners(self):
+        # A twin bans nothing, so it needs v > n/2: each v <= n/2 pairs with itself in v + v = 2v.
+        for n in range(1, 201):
+            for restricted in (False, True):
+                levels = _new(3, n, restricted).levels
+                assert all(levels[v][0] >> v & 1 for v in range(1, n // 2 + 1)), (n, restricted)
 
     def test_deadline_stops_on_a_poll_point(self):
         start = time.perf_counter()
