@@ -8,10 +8,10 @@ are shown here on residue, coset, and root-of-unity colorings.
 """
 
 from schurdiv import (
+    UnityColoring,
     UnityFunction,
     direct_schur_div_search,
     parse_coloring_spec,
-    unity_coloring,
     witness_via_ramsey,
 )
 
@@ -43,7 +43,7 @@ def main():
         print()
 
     print("== unity:2 (Liouville-like sign function) ==")
-    liouville = unity_coloring(UnityFunction(2, {}, default_exponent=1))
+    liouville = UnityColoring(UnityFunction(2, {}, default_exponent=1))
     print(f"  via triangle: {show(witness_via_ramsey(liouville))}")
     print(f"  via scan:     {show(direct_schur_div_search(liouville, 1000))}")
 

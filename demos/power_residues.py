@@ -12,9 +12,10 @@ Schur number.
 from schurdiv import (
     consecutive_pair_via_triple,
     exceptional_primes,
-    lambda_estimate,
     residue_run_start,
+    scan_primes,
     schur_number,
+    summarize_reports,
 )
 
 
@@ -25,7 +26,7 @@ def main():
 
     print("\nRunning maximum over whole prime ranges (k=2, m=2):")
     for p_max in (50, 1000, 10_000):
-        est = lambda_estimate(2, 2, 7, p_max)
+        est = summarize_reports(2, 2, 7, p_max, scan_primes(2, 2, 7, p_max))
         print(f"  primes 7..{p_max}: max r = {est.max_r} at p = {est.argmax_p}")
 
     print(f"\nExceptional primes (no consecutive square pair): "

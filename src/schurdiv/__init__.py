@@ -17,11 +17,8 @@ from .coloring import (
     OutOfDomainError,
     ResidueColoring,
     UnityColoring,
-    coset_coloring,
-    parity_coloring,
     parse_coloring_spec,
     parse_prime_exponents,
-    unity_coloring,
 )
 from .multiplicative import (
     ConsecutiveOnesWitness,
@@ -52,9 +49,9 @@ from .residues import (
     consecutive_pair_via_triple,
     exceptional_primes,
     is_kth_residue,
-    lambda_estimate,
     residue_run_start,
     scan_primes,
+    summarize_reports,
 )
 from .schur_search import (
     BudgetExhausted,

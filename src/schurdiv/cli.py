@@ -25,16 +25,16 @@ Coloring spec grammar (bit-exact, shared with the library parser):
         given by prime exponents (empty assignment list allowed);
         unlisted primes take the default exponent (0 unless given).
 
-The schur subcommand caches proven witnesses and refutations in a
-versioned JSON file (`--cache`, or the SCHUR_DIV_CACHE environment
-variable); timestamps live only in the cache, never in reports.
+The schur subcommand caches proven witnesses and refutations in the
+versioned JSON file named by `--cache`, the only way to name one, so the
+environment never changes a report; timestamps live only in the cache,
+never in reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -182,7 +182,6 @@ def _cmd_ramsey(args) -> int:
 
 
 def _cmd_schur(args) -> int:
-    cache_path = args.cache or os.environ.get("SCHUR_DIV_CACHE") or None
     result = schur_number(
         args.colors,
         restricted=args.restricted,
@@ -190,7 +189,7 @@ def _cmd_schur(args) -> int:
         max_seconds=args.budget_secs,
         max_n=args.max_n,
         threads=args.threads,
-        cache_path=cache_path,
+        cache_path=args.cache or None,
     )
     out = _provenance(
         args, ["colors", "restricted", "max-n", "budget-nodes", "budget-secs", "threads"]

@@ -38,11 +38,8 @@ __all__ = [
     "OutOfDomainError",
     "ResidueColoring",
     "UnityColoring",
-    "coset_coloring",
-    "parity_coloring",
     "parse_coloring_spec",
     "parse_prime_exponents",
-    "unity_coloring",
 ]
 
 
@@ -77,11 +74,11 @@ class ExplicitColoring(Coloring):
     """Colors read off a table for 1..len(table)."""
 
     def __init__(self, table):
-        table = tuple(int(c) for c in table)
+        table = tuple(table)
         if not table:
             raise ValueError("explicit color table must be non-empty")
-        if min(table) < 0:
-            raise ValueError("explicit color table entries must be >= 0")
+        if not all(type(c) is int and c >= 0 for c in table):
+            raise ValueError("explicit color table entries must be integers >= 0")
         self.table = table
         self.num_colors = max(table) + 1
         self.domain_max = len(table)
@@ -99,11 +96,11 @@ class ResidueColoring(Coloring):
     def __init__(self, modulus: int, class_map):
         if modulus < 1:
             raise ValueError(f"modulus must be >= 1, got {modulus}")
-        class_map = tuple(int(c) for c in class_map)
+        class_map = tuple(class_map)
         if len(class_map) != modulus:
             raise ValueError(f"class map must have {modulus} entries, got {len(class_map)}")
-        if min(class_map) < 0:
-            raise ValueError("class map entries must be >= 0")
+        if not all(type(c) is int and c >= 0 for c in class_map):
+            raise ValueError("class map entries must be integers >= 0")
         self.modulus = modulus
         self.class_map = class_map
         self.num_colors = max(class_map) + 1
@@ -180,18 +177,6 @@ class UnityColoring(Coloring):
         return evaluate(self.func, n)
 
 
-def parity_coloring() -> ResidueColoring:
-    return ResidueColoring(2, (0, 1))
-
-
-def coset_coloring(p: int, k: int) -> CosetColoring:
-    return CosetColoring(p, k)
-
-
-def unity_coloring(f: UnityFunction) -> UnityColoring:
-    return UnityColoring(f)
-
-
 def _spec_int(spec: str, token: str, position: int, what: str) -> int:
     try:
         return int(token)
@@ -226,7 +211,7 @@ def parse_prime_exponents(text: str, spec: str | None = None, position: int = 0)
 def parse_coloring_spec(spec: str) -> Coloring:
     """Parse the one-line coloring grammar (see module docstring)."""
     if spec == "parity":
-        return parity_coloring()
+        return ResidueColoring(2, (0, 1))
     head, _, rest = spec.partition(":")
     body_pos = len(head) + 1
     if head == "mod":

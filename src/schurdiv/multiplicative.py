@@ -46,8 +46,11 @@ class UnityFunction(_UnityFields):
                 default_exponent: int = 0):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        exponents = dict(prime_exponents)
+        if not all(type(e) is int for e in (default_exponent, *exponents.values())):
+            raise ValueError("prime and default exponents must be integers")
         normalized = {}
-        for p, e in dict(prime_exponents).items():
+        for p, e in exponents.items():
             if not is_prime(p):
                 raise ValueError(f"exponent assigned to non-prime {p}")
             normalized[p] = e % k
@@ -105,12 +108,12 @@ def verify_consecutive_ones_bound(f: UnityFunction, restricted_schur_bound: int)
     f.k colors; the monochromatic triple search below is then guaranteed
     to succeed, and its failure is loudly fatal rather than a value.
     """
-    from .coloring import unity_coloring
+    from .coloring import UnityColoring
     from .ramsey import direct_schur_div_search
 
     if restricted_schur_bound < 1:
         raise ValueError(f"restricted_schur_bound must be >= 1, got {restricted_schur_bound}")
-    witness = direct_schur_div_search(unity_coloring(f), restricted_schur_bound)
+    witness = direct_schur_div_search(UnityColoring(f), restricted_schur_bound)
     if witness is None:
         raise RuntimeError(
             f"no monochromatic divisible triple in 1..{restricted_schur_bound} under a "

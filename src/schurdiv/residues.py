@@ -11,9 +11,10 @@ a composite: chi is completely multiplicative, so chi(r) = chi(q) *
 chi(r/q) mod p for the smallest prime factor q of r, read from the table
 `primes.smallest_prime_factors`.  Only prime r (and r past the table) pay
 a `pow`, and when d = 1 every unit is a residue, so no `pow` runs at all.
-`scan_primes` sweeps a prime range and `lambda_estimate` aggregates the
-running maximum of those run starts — a range-limited empirical view of
-a quantity whose true supremum ranges over all non-exceptional primes.
+`scan_primes` sweeps a prime range and `summarize_reports` aggregates
+its rows into the running maximum of those run starts — a range-limited
+empirical view of a quantity whose true supremum ranges over all
+non-exceptional primes.
 Scans take their primes from the sieve and validate k and m once, so the
 kernel never re-proves primality.  A scan is a list of plain (p, r)
 rows, r None for an exceptional prime, from the kernel to its consumer:
@@ -34,7 +35,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .coloring import coset_coloring
+from .coloring import CosetColoring
 from .primes import is_prime, primes_in_range, smallest_prime_factors
 from .ramsey import SchurWitness, direct_schur_div_search
 from .schur_search import _process_pool
@@ -45,9 +46,9 @@ __all__ = [
     "consecutive_pair_via_triple",
     "exceptional_primes",
     "is_kth_residue",
-    "lambda_estimate",
     "residue_run_start",
     "scan_primes",
+    "summarize_reports",
 ]
 
 
@@ -141,11 +142,6 @@ def scan_primes(k: int, m: int, p_min: int, p_max: int, threads: int = 1) -> lis
         return [row for block_rows in pool.map(_scan_block, blocks) for row in block_rows]
 
 
-def lambda_estimate(k: int, m: int, p_min: int, p_max: int, threads: int = 1) -> LambdaEstimate:
-    """Aggregate a prime scan: running max of run starts plus exceptional set."""
-    return summarize_reports(k, m, p_min, p_max, scan_primes(k, m, p_min, p_max, threads))
-
-
 def summarize_reports(
     k: int, m: int, p_min: int, p_max: int, rows: list[tuple[int, int | None]]
 ) -> LambdaEstimate:
@@ -183,7 +179,7 @@ def consecutive_pair_via_triple(p: int, k: int, bound: int) -> ConsecutivePair |
         raise ValueError(f"bound must be >= 1, got {bound}")
     if p <= bound:
         raise ValueError(f"need p > bound, got p={p}, bound={bound}")
-    witness = direct_schur_div_search(coset_coloring(p, k), bound)
+    witness = direct_schur_div_search(CosetColoring(p, k), bound)
     if witness is None:
         return None
     y_prime = witness.y // witness.x

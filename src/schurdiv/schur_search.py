@@ -11,8 +11,8 @@ integers c would complete a forbidden triple on.  Assigning v to c ORs
 `(members[c] & pairs[v]) << v` into banned[c]; the branch dies, before
 anything is written, once a new ban hits an integer every other color
 bans.  Undo restores banned[c] and members[c].  Used and new colors,
-prefix enumeration and the search all run this one step (bitwise
-backtracking, Knuth TAOCP 7.2.2).
+with new bans or none, prefix enumeration and the search all run this
+one step (bitwise backtracking, Knuth TAOCP 7.2.2).
 
 Twin subtrees are counted, not walked.  Every v <= n/2 is its own
 partner (v + v = 2v), so a color bans nothing at v only when v > n/2,
@@ -142,10 +142,9 @@ class _Searcher:
     recording each leaf's state while `prefixes` is a list; `resume`
     searches on from such a state.  A node tests its new bans against the
     other colors, lowest first, before it writes.  `levels[v]` is
-    (pairs[v], 1 << v).  Budgets are polled only at node count `poll_at`:
-    the node limit raises at max_nodes + 1, the deadline is read every
-    2048 nodes (once per reused twin subtree, at the first multiple it
-    crosses)."""
+    (pairs[v], 1 << v).  Budgets are polled only at node count `poll_at`,
+    reached by a node or a reused twin subtree: the deadline is read there
+    if it is a multiple of 2048, then the node limit raises at max_nodes + 1."""
 
     __slots__ = ("l", "n", "members", "banned", "colors", "others", "levels", "nodes",
                  "depth", "prefixes", "max_nodes", "deadline", "poll_at")
@@ -171,7 +170,11 @@ class _Searcher:
         self.deadline = None if max_seconds is None else time.perf_counter() + max_seconds
         self.poll_at = 1
 
-    def _poll(self, nodes: int, read_clock: bool = True) -> None:
+    def _poll(self, nodes: int) -> None:
+        """Called once the count reaches `poll_at`, by one node or a reused subtree."""
+        if self.deadline is not None and self.poll_at % 2048 == 0 and time.perf_counter() > self.deadline:
+            self.nodes = self.poll_at
+            raise BudgetExhausted(self.nodes)
         at = sys.maxsize
         if self.max_nodes is not None:
             if nodes > self.max_nodes:
@@ -179,18 +182,14 @@ class _Searcher:
                 raise BudgetExhausted(self.nodes)
             at = self.max_nodes + 1
         if self.deadline is not None:
-            if read_clock and nodes % 2048 == 0 and time.perf_counter() > self.deadline:
-                self.nodes = nodes
-                raise BudgetExhausted(nodes)
             at = min(at, (nodes // 2048 + 1) * 2048)
         self.poll_at = at
 
     def _reuse(self, count: int) -> None:
-        """Count a refuted twin subtree in one step, polling at its first poll point and its end."""
+        """Count a refuted twin subtree in one step, polled like a single node."""
         nodes = self.nodes + count
         if nodes >= self.poll_at:
-            self._poll(self.poll_at)
-            self._poll(nodes, read_clock=False)
+            self._poll(nodes)
         self.nodes = nodes
 
     def coloring(self) -> list[int]:
@@ -242,13 +241,11 @@ class _Searcher:
             self.nodes = nodes
             if nodes >= self.poll_at:
                 self._poll(nodes)
-            old = members[c]
-            m = old | bit
-            hits = m & pairs_v
+            m = members[c] | bit
+            hits = (m & pairs_v) << v
             if hits:
                 # New bans land above v and no integer was fully banned before,
                 # so the node is dead iff they meet every other color's bans.
-                hits <<= v
                 dead = hits
                 for d in self.others[c]:
                     dead &= banned[d]
@@ -256,22 +253,17 @@ class _Searcher:
                         break
                 else:
                     continue
-                members[c] = m
-                banned[c] = b | hits
-                if self._extend(v + 1, c if c > max_used else max_used):
-                    return True
-                banned[c] = b
             elif twin is not None:
                 # A twin: the first one's refutation counts for the rest.
                 self._reuse(twin)
                 continue
-            else:
-                members[c] = m
-                if self._extend(v + 1, c if c > max_used else max_used):
-                    return True
-                if self.prefixes is None:  # a recorded leaf returns False, which refutes nothing
-                    twin = self.nodes - nodes
-            members[c] = old
+            members[c] = m
+            banned[c] = b | hits
+            if self._extend(v + 1, c if c > max_used else max_used):
+                return True
+            if not hits and self.prefixes is None:  # a recorded leaf returns False, which refutes nothing
+                twin = self.nodes - nodes
+            members[c], banned[c] = m ^ bit, b
         return False
 
 

@@ -246,21 +246,6 @@ def kempner(m: int) -> int:
     return best
 
 
-def _factorial_term_mod(n: int, m: int) -> int:
-    """n-th factorial-kind term mod m, for arbitrary n >= 1."""
-    if n <= 5:
-        return _EXACT_FACTORIAL_TERMS[n - 1] % m
-    # For n >= 6 the factorial argument is at least the 30-digit fifth
-    # prefix sum, so the term vanishes mod m whenever the factorial
-    # threshold of m sits at or below that sum.
-    if kempner(m) > _EXACT_FACTORIAL_PREFIX[5]:
-        raise EvaluationInfeasibleError(
-            f"term {n} of the factorial sequence cannot be reduced mod {m}: "
-            f"the modulus divides no factorial below the materializable range"
-        )
-    return 0
-
-
 def interval_sum_mod(i: int, j: int, m: int) -> int:
     """Block sum terms[i] + ... + terms[j-1] of the factorial kind reduced
     mod m, without materializing any term.
@@ -272,8 +257,11 @@ def interval_sum_mod(i: int, j: int, m: int) -> int:
         raise IndexError(f"need 1 <= i < j, got i={i}, j={j}")
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    total = sum(_factorial_term_mod(n, m) for n in range(i, min(j, 7)))
-    if j > 7:
-        # Terms 7.. are zero mod m whenever term 6 was; probe once.
-        _factorial_term_mod(max(i, 7), m)
-    return total % m
+    # Each term from 6 on is the factorial of at least the 30-digit fifth
+    # prefix sum, so it vanishes mod m whenever m divides that factorial.
+    if j > 6 and kempner(m) > _EXACT_FACTORIAL_PREFIX[5]:
+        raise EvaluationInfeasibleError(
+            f"term {max(i, 6)} of the factorial sequence cannot be reduced mod {m}: "
+            f"the modulus divides no factorial below the materializable range"
+        )
+    return sum(_EXACT_FACTORIAL_TERMS[i - 1 : j - 1]) % m

@@ -250,11 +250,13 @@ class TestSchur:
         code3, out3, _ = run(capsys, "schur", "--colors", "2", "--restricted", "--cache", cache)
         assert out3 == out2
 
-    def test_cache_env_fallback(self, capsys, tmp_path, monkeypatch):
+    def test_environment_names_no_cache(self, capsys, tmp_path, monkeypatch):
+        # Only --cache names a cache file, so the environment cannot change a report.
+        plain = run(capsys, "schur", "--colors", "3")
         cache = tmp_path / "env-cache.json"
         monkeypatch.setenv("SCHUR_DIV_CACHE", str(cache))
-        run_json(capsys, "schur", "--colors", "1")
-        assert cache.exists()
+        assert run(capsys, "schur", "--colors", "3") == plain
+        assert not cache.exists()
 
     def test_budget_lower_bound(self, capsys):
         report = run_json(

@@ -12,11 +12,9 @@ from schurdiv.coloring import (
     ExplicitColoring,
     OutOfDomainError,
     ResidueColoring,
-    coset_coloring,
-    parity_coloring,
+    UnityColoring,
     parse_coloring_spec,
     parse_prime_exponents,
-    unity_coloring,
 )
 from schurdiv.multiplicative import UnityFunction
 
@@ -45,8 +43,8 @@ PRIMES_BELOW_200 = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
 
 class TestResidueColoring:
     def test_parity_example(self):
-        assert parity_coloring().color_of(7) == 1
-        assert parity_coloring().color_of(10) == 0
+        assert ResidueColoring(2, (0, 1)).color_of(7) == 1
+        assert ResidueColoring(2, (0, 1)).color_of(10) == 0
 
     def test_accepts_huge_arguments(self):
         c = ResidueColoring(3, (0, 1, 2))
@@ -57,9 +55,14 @@ class TestResidueColoring:
         with pytest.raises(ValueError):
             ResidueColoring(3, (0, 1))
 
+    @pytest.mark.parametrize("class_map", [(0, True, 2), (0, 0.9, 2), (0, "1", 2), (0, -1, 2)])
+    def test_class_map_entries_are_ints_from_zero(self, class_map):
+        with pytest.raises(ValueError, match="must be integers >= 0"):
+            ResidueColoring(3, class_map)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(OutOfDomainError):
-            parity_coloring().color_of(0)
+            ResidueColoring(2, (0, 1)).color_of(0)
 
 
 class TestExplicitColoring:
@@ -68,6 +71,11 @@ class TestExplicitColoring:
         assert [c.color_of(n) for n in range(1, 5)] == [0, 1, 1, 0]
         assert c.domain_max == 4
         assert c.num_colors == 2
+
+    @pytest.mark.parametrize("table", [[True, 0, 2], [1, 0.9, 2.5], ["0", "1"], [0, -1]])
+    def test_entries_are_ints_from_zero(self, table):
+        with pytest.raises(ValueError, match="must be integers >= 0"):
+            ExplicitColoring(table)
 
     def test_out_of_domain(self):
         c = ExplicitColoring([0, 1])
@@ -79,41 +87,41 @@ class TestExplicitColoring:
 
 class TestCosetColoring:
     def test_quadratic_residues_mod_11(self):
-        c = coset_coloring(11, 2)
+        c = CosetColoring(11, 2)
         assert c.color_of(3) == c.color_of(5)
         qrs = brute_power_residues(11, 2)
         assert qrs == {1, 3, 4, 5, 9}
         assert c.classes_on_units()[c.color_of(1)] == frozenset(qrs)
 
     def test_multiple_of_p_gets_extra_color(self):
-        c = coset_coloring(11, 2)
+        c = CosetColoring(11, 2)
         assert c.color_of(22) == c.num_colors - 1 == c.extra_color
         assert c.color_of(11 * math.factorial(28)) == c.extra_color
 
     def test_classes_mod_7(self):
-        c = coset_coloring(7, 2)
+        c = CosetColoring(7, 2)
         assert c.classes_on_units() == (frozenset({1, 2, 4}), frozenset({3, 5, 6}))
         assert c.num_colors == 3  # two cosets plus the extra color
 
     def test_cubes_mod_31(self):
-        c = coset_coloring(31, 3)
+        c = CosetColoring(31, 3)
         assert c.coset_count == 3
         assert c.classes_on_units()[c.color_of(1)] == frozenset(
             {1, 2, 4, 8, 15, 16, 23, 27, 29, 30}
         )
 
     def test_first_powers_are_one_class(self):
-        c = coset_coloring(7, 1)
+        c = CosetColoring(7, 1)
         assert c.coset_count == 1
         assert c.classes_on_units() == (frozenset(range(1, 7)),)
 
     def test_coset_count_is_gcd(self):
         for p in (7, 11, 13, 31, 101):
             for k in (1, 2, 3, 4, 5, 6):
-                assert coset_coloring(p, k).coset_count == math.gcd(k, p - 1)
+                assert CosetColoring(p, k).coset_count == math.gcd(k, p - 1)
 
     def test_colors_ordered_by_smallest_representative(self):
-        c = coset_coloring(13, 3)
+        c = CosetColoring(13, 3)
         classes = c.classes_on_units()
         smallest = [min(members) for members in classes]
         assert smallest == sorted(smallest)
@@ -122,7 +130,7 @@ class TestCosetColoring:
     def test_same_color_iff_ratio_is_power(self):
         # u, v share a color exactly when u * v^-1 is a k-th power
         for p, k in ((7, 2), (11, 2), (31, 3), (101, 4), (13, 6)):
-            c = coset_coloring(p, k)
+            c = CosetColoring(p, k)
             powers = brute_power_residues(p, k)
             for u in range(1, p):
                 for v in range(1, p):
@@ -131,16 +139,16 @@ class TestCosetColoring:
 
     def test_requires_prime(self):
         with pytest.raises(ValueError):
-            coset_coloring(15, 2)
+            CosetColoring(15, 2)
 
     def test_purity(self):
-        c = coset_coloring(17, 2)
+        c = CosetColoring(17, 2)
         assert [c.color_of(9)] * 5 == [c.color_of(9) for _ in range(5)]
 
     @pytest.mark.parametrize("p", PRIMES_BELOW_200)
     def test_matches_brute_force_table(self, p):
         for k in range(1, p + 2):
-            c = coset_coloring(p, k)
+            c = CosetColoring(p, k)
             table = brute_coset_table(p, k)
             assert c.num_colors == table[0] + 1, (p, k)
             assert [c.color_of(n) for n in range(1, 2 * p + 2)] == [
@@ -160,7 +168,7 @@ class TestCosetColoring:
             return builtins.pow(*args)
 
         monkeypatch.setattr(coloring, "pow", counting_pow, raising=False)
-        c = coset_coloring(1000003, 3)
+        c = CosetColoring(1000003, 3)
         # A walk over r = 1, 2, ... until all three character values appear;
         # a table over all residues would take about 10^6 calls.
         assert len(calls) <= 8
@@ -171,24 +179,24 @@ class TestCosetColoring:
 
 class TestUnityColoring:
     def test_all_ones_function(self):
-        c = unity_coloring(UnityFunction(1, {}))
+        c = UnityColoring(UnityFunction(1, {}))
         assert all(c.color_of(n) == 0 for n in range(1, 50))
         assert c.num_colors == 1
 
     def test_liouville_type(self):
-        c = unity_coloring(UnityFunction(2, {}, default_exponent=1))
+        c = UnityColoring(UnityFunction(2, {}, default_exponent=1))
         assert c.color_of(12) == 1  # 12 = 2*2*3, three prime factors
         assert c.color_of(1) == 0
 
     def test_single_prime_tracked(self):
-        c = unity_coloring(UnityFunction(2, {2: 1}))
+        c = UnityColoring(UnityFunction(2, {2: 1}))
         assert c.color_of(12) == 0  # 2 divides 12 twice
 
     def test_color_is_additive_over_products(self):
         rng = random.Random(7)
         for k in (2, 3, 5):
             exps = {p: rng.randrange(k) for p in (2, 3, 5, 7, 11, 13)}
-            c = unity_coloring(UnityFunction(k, exps, rng.randrange(k)))
+            c = UnityColoring(UnityFunction(k, exps, rng.randrange(k)))
             for m in range(1, 61):
                 for n in range(1, 61):
                     assert c.color_of(m * n) == (c.color_of(m) + c.color_of(n)) % k

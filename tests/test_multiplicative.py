@@ -71,6 +71,11 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             UnityFunction(2, {4: 1})
 
+    @pytest.mark.parametrize("exponents, default", [({2: 0.5}, 0), ({2: True}, 0), ({2: "1"}, 0), ({}, 1.0)])
+    def test_rejects_exponents_that_are_not_ints(self, exponents, default):
+        with pytest.raises(ValueError, match="must be integers"):
+            UnityFunction(3, exponents, default)
+
     def test_factor_budget(self):
         f = UnityFunction(2, {}, 1)
         with pytest.raises(FactorizationBudgetError):

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from schurdiv.coloring import ExplicitColoring, parse_coloring_spec, unity_coloring
+from schurdiv.coloring import ExplicitColoring, UnityColoring, parse_coloring_spec
 from schurdiv.multiplicative import UnityFunction
 from schurdiv.ramsey import (
     EvaluationInfeasibleError,
@@ -185,7 +185,7 @@ class TestWitnessViaRamsey:
     def test_unity_two_colors_materializes(self):
         # every block sum on six vertices factorizes (27! + 1 is prime),
         # so even the root-of-unity rule can color all of K6
-        coloring = unity_coloring(UnityFunction(2, {}, 1))
+        coloring = UnityColoring(UnityFunction(2, {}, 1))
         w = witness_via_ramsey(coloring)
         assert w.triangle == (2, 4, 6)
         assert w.x == 3 and w.y == 24 + math.factorial(28)
@@ -196,16 +196,16 @@ class TestWitnessViaRamsey:
     def test_unity_three_colors_infeasible(self):
         # the scan of 17 vertices reaches a block sum past the materializable terms
         with pytest.raises(EvaluationInfeasibleError, match=r"edge \(1, 7\)"):
-            witness_via_ramsey(unity_coloring(UnityFunction(3, {2: 1}, 0)))
+            witness_via_ramsey(UnityColoring(UnityFunction(3, {2: 1}, 0)))
 
     def test_unity_three_colors_shallow_triangle(self):
         # every value is 1, so (1, 2, 3) is monochromatic before any deep edge
-        w = witness_via_ramsey(unity_coloring(UnityFunction(3, {})))
+        w = witness_via_ramsey(UnityColoring(UnityFunction(3, {})))
         assert (w.triangle, w.r_vertices, w.r_exact) == ((1, 2, 3), 17, True)
         assert (w.x, w.y, w.z) == (1, 1, 2)
 
     def test_unity_single_color_works(self):
-        w = witness_via_ramsey(unity_coloring(UnityFunction(1, {})))
+        w = witness_via_ramsey(UnityColoring(UnityFunction(1, {})))
         assert (w.x, w.y, w.z) == (1, 1, 2)
 
 

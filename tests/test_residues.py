@@ -6,9 +6,9 @@ from schurdiv.residues import (
     consecutive_pair_via_triple,
     exceptional_primes,
     is_kth_residue,
-    lambda_estimate,
     residue_run_start,
     scan_primes,
+    summarize_reports,
 )
 
 
@@ -133,12 +133,12 @@ class TestScan:
         got = dict(reports)
         assert got == {p: brute_run_start(p, 2, 2) for p in got}
         assert got[43] == 9
-        est = lambda_estimate(2, 2, 7, 50)
+        est = summarize_reports(2, 2, 7, 50, reports)
         assert (est.max_r, est.argmax_p) == (9, 43)
         assert est.exceptional == ()
 
     def test_scan_all_exceptional(self):
-        est = lambda_estimate(2, 2, 2, 6)
+        est = summarize_reports(2, 2, 2, 6, scan_primes(2, 2, 2, 6))
         assert est.max_r is None and est.argmax_p is None
         assert est.exceptional == (2, 3, 5)
 
@@ -154,7 +154,7 @@ class TestScan:
     def test_monotone_in_range_growth(self):
         maxima = []
         for p_max in (50, 200, 1000):
-            est = lambda_estimate(2, 2, 7, p_max)
+            est = summarize_reports(2, 2, 7, p_max, scan_primes(2, 2, 7, p_max))
             maxima.append(est.max_r)
         assert maxima == sorted(maxima)
 

@@ -243,3 +243,12 @@ class TestTwinReuse:
         searcher = self._at(100, max_seconds=60)
         searcher._reuse(10**6)
         assert (searcher.nodes, searcher.poll_at) == (10**6 + 100, 489 * 2048)
+
+    @pytest.mark.parametrize("max_seconds, cut", [(0, 2048), (60, 5001)])
+    def test_reuse_step_reads_the_clock_before_the_node_limit(self, max_seconds, cut):
+        # One step past both a multiple of 2048 and the node limit: a spent
+        # deadline stops at the multiple, a live one at max_nodes + 1.
+        searcher = self._at(100, max_nodes=5000, max_seconds=max_seconds)
+        with pytest.raises(BudgetExhausted) as info:
+            searcher._reuse(10**6)
+        assert info.value.nodes == searcher.nodes == cut

@@ -186,12 +186,12 @@ class TestIntervalSumMod:
         assert interval_sum_mod(5, 6, 29) == 28
 
     def test_infeasible_modulus(self):
-        big_prime = 2**107 - 1  # no factorial below it is divisible by it
+        big_prime = 2**107 - 1  # above 10^31: no factorial below it is divisible by it
         assert interval_sum_mod(5, 6, big_prime) == FACT_28 % big_prime
-        with pytest.raises(EvaluationInfeasibleError):
-            interval_sum_mod(6, 7, big_prime)
-        with pytest.raises(EvaluationInfeasibleError):
-            interval_sum_mod(8, 9, big_prime)
+        # The error names the first term of the block past the fifth.
+        for i, j, term in ((6, 7, 6), (1, 17, 6), (7, 20, 7), (8, 9, 8)):
+            with pytest.raises(EvaluationInfeasibleError, match=rf"^term {term} of the factorial sequence"):
+                interval_sum_mod(i, j, big_prime)
 
     def test_bad_arguments(self):
         with pytest.raises(IndexError):
