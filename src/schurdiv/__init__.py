@@ -9,76 +9,13 @@ search, scans primes for consecutive k-th power residues, and runs the
 coset and root-of-unity colorings that connect the two worlds.
 """
 
-from .coloring import (
-    Coloring,
-    ColoringSpecError,
-    CosetColoring,
-    ExplicitColoring,
-    OutOfDomainError,
-    ResidueColoring,
-    UnityColoring,
-    parse_coloring_spec,
-    parse_prime_exponents,
-)
-from .multiplicative import (
-    ConsecutiveOnesWitness,
-    UnityFunction,
-    evaluate,
-    min_consecutive_ones,
-    verify_consecutive_ones_bound,
-)
-from .primes import (
-    FactorizationBudgetError,
-    factorize,
-    is_prime,
-    primes_in_range,
-    sieve,
-)
-from .ramsey import (
-    MonoTriangle,
-    R3Info,
-    SchurWitness,
-    direct_schur_div_search,
-    find_mono_triangle,
-    r3_value_or_bound,
-    witness_via_ramsey,
-)
-from .residues import (
-    ConsecutivePair,
-    LambdaEstimate,
-    consecutive_pair_via_triple,
-    exceptional_primes,
-    is_kth_residue,
-    residue_run_start,
-    scan_primes,
-    summarize_reports,
-)
-from .schur_search import (
-    BudgetExhausted,
-    CacheError,
-    ForbiddenTriple,
-    SearchResult,
-    SearchStats,
-    exists_valid_coloring,
-    forbidden_triples,
-    load_search_cache,
-    save_search_cache,
-    schur_number,
-    validate_coloring,
-)
-from .sequences import (
-    DEFAULT_DIGIT_BUDGET,
-    FACTORIAL,
-    PRODUCT,
-    EvaluationInfeasibleError,
-    LemmaReport,
-    SequenceBudgetError,
-    WitnessSequence,
-    check_divisibility_lemma,
-    generate,
-    interval_sum,
-    interval_sum_mod,
-    kempner,
-)
+# The public API is the union of the modules' __all__ lists; each name is declared there once.
+from .coloring import *  # noqa: F401,F403
+from .multiplicative import *  # noqa: F401,F403
+from .primes import *  # noqa: F401,F403
+from .ramsey import *  # noqa: F401,F403
+from .residues import *  # noqa: F401,F403
+from .schur_search import *  # noqa: F401,F403
+from .sequences import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

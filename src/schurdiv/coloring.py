@@ -94,8 +94,8 @@ class ResidueColoring(Coloring):
     """Color determined by n mod modulus through a residue -> color map."""
 
     def __init__(self, modulus: int, class_map):
-        if modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        if type(modulus) is not int or modulus < 1:
+            raise ValueError(f"modulus must be an integer >= 1, got {modulus!r}")
         class_map = tuple(class_map)
         if len(class_map) != modulus:
             raise ValueError(f"class map must have {modulus} entries, got {len(class_map)}")
@@ -127,6 +127,8 @@ class CosetColoring(Coloring):
     """
 
     def __init__(self, p: int, k: int):
+        if type(p) is not int or type(k) is not int:
+            raise ValueError(f"coset coloring needs an integer prime and power, got p={p!r}, k={k!r}")
         if not is_prime(p):
             raise ValueError(f"coset coloring needs a prime modulus, got {p}")
         if k < 1:

@@ -44,11 +44,11 @@ class UnityFunction(_UnityFields):
 
     def __new__(cls, k: int, prime_exponents: Mapping[int, int] = MappingProxyType({}),
                 default_exponent: int = 0):
+        exponents = dict(prime_exponents)
+        if not all(type(v) is int for v in (k, default_exponent, *exponents, *exponents.values())):
+            raise ValueError("k, primes and exponents must be integers")
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        exponents = dict(prime_exponents)
-        if not all(type(e) is int for e in (default_exponent, *exponents.values())):
-            raise ValueError("prime and default exponents must be integers")
         normalized = {}
         for p, e in exponents.items():
             if not is_prime(p):

@@ -1,7 +1,7 @@
-"""Prime sieves, primality testing, and trial-division factorization.
+"""Prime listing, primality testing, and trial-division factorization.
 
-Shared arithmetic plumbing: residue scanners iterate primes from a
-segmented sieve, coset colorings validate the primality of their modulus,
+Shared arithmetic plumbing: residue scanners iterate primes from
+`primes_in_range`, coset colorings validate the primality of their modulus,
 and the multiplicative-function evaluator factorizes small integers.
 `smallest_prime_factors` is the one least-prime-factor table (n < 4096);
 both run finders walk it, as g(r) = g(q) * g(r/q) for multiplicative g.
@@ -19,7 +19,6 @@ __all__ = [
     "is_prime",
     "prime_table",
     "primes_in_range",
-    "sieve",
     "smallest_prime_factors",
 ]
 
@@ -33,17 +32,13 @@ class FactorizationBudgetError(ValueError):
     """Trial division ran out of primes before the cofactor was resolved."""
 
 
-def sieve(limit: int) -> list[int]:
-    """All primes <= limit, ascending."""
-    return primes_in_range(2, limit)
-
-
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p <= hi, via a segmented sieve."""
+    """Primes p with lo <= p <= hi, ascending, found by striking the
+    multiples of every prime up to isqrt(hi) from the window."""
     lo = max(lo, 2)
     if hi < lo:
         return []
-    base = sieve(isqrt(hi))
+    base = primes_in_range(2, isqrt(hi))
     flags = bytearray([1]) * (hi - lo + 1)
     for p in base:
         start = max(p * p, ((lo + p - 1) // p) * p)
@@ -82,14 +77,14 @@ def is_prime(n: int) -> bool:
 @lru_cache(maxsize=8)
 def prime_table(limit: int) -> tuple[int, ...]:
     """Cached ascending prime tuple for repeated trial division."""
-    return tuple(sieve(limit))
+    return tuple(primes_in_range(2, limit))
 
 
 @lru_cache(maxsize=1)
 def smallest_prime_factors() -> tuple[int, ...]:
     """Least prime factor of each n < 4096 (0, 1 map to themselves); fixed, so no bound sets its size."""
     spf = list(range(1 << 12))
-    for q in reversed(sieve(isqrt(len(spf) - 1))):  # smaller q overwrite larger
+    for q in reversed(primes_in_range(2, isqrt(len(spf) - 1))):  # smaller q overwrite larger
         spf[q * q :: q] = [q] * len(spf[q * q :: q])
     return tuple(spf)
 

@@ -9,12 +9,12 @@ chain.  The triangle search is plain brute force over vertex triples in
 lexicographic order.  It colors an edge only when it first reaches it,
 since 7 colors already need 13,701 vertices (93,851,850 edges).
 
-Block sums grow past anything materializable almost immediately, so edge
-colors are evaluated through modular reduction whenever the coloring
-rule reduces modulo something; other rules fail at the first edge the
-scan reaches whose sum needs a term past the fifth.  Witness values are
-reported exactly when the triangle sits low enough, and as (i, j) span
-descriptors otherwise.
+Block sums grow past anything materializable almost immediately, so the
+edge colors of residue and coset rules are evaluated modulo their
+modulus, 1 included, by `interval_sum_mod`; other rules fail at the
+first edge the scan reaches whose sum needs a term past the fifth.
+Witness values are reported exactly when the triangle sits low enough,
+and as (i, j) span descriptors otherwise.
 
 `direct_schur_div_search` is the second, independent route: scan triples
 (x, a*x, (a+1)*x) directly under the coloring in increasing z then x,
@@ -124,10 +124,7 @@ def _edge_color_function(coloring: Coloring) -> Callable[[int, int], int]:
     """Color of the block sum a(i..j-1) as a function of the edge (i, j)."""
     if isinstance(coloring, (ResidueColoring, CosetColoring)):
         m = coloring.modulus
-        if m >= 2:
-            return lambda i, j: coloring.color_of_residue(interval_sum_mod(i, j, m))
-        # A 1-modulus residue rule is a single color; sums are irrelevant.
-        return lambda i, j: coloring.class_map[0]
+        return lambda i, j: coloring.color_of_residue(interval_sum_mod(i, j, m))
     seq = generate(FACTORIAL, _MATERIALIZABLE_TERMS)
 
     def color(i: int, j: int) -> int:

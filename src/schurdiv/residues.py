@@ -15,13 +15,15 @@ a `pow`, and when d = 1 every unit is a residue, so no `pow` runs at all.
 its rows into the running maximum of those run starts — a range-limited
 empirical view of a quantity whose true supremum ranges over all
 non-exceptional primes.
-Scans take their primes from the sieve and validate k and m once, so the
-kernel never re-proves primality.  A scan is a list of plain (p, r)
-rows, r None for an exceptional prime, from the kernel to its consumer:
-`summarize_reports`, `exceptional_primes` and the CLI all read rows.  A
-threaded scan builds its pool with `schur_search._process_pool`, which
-imports `concurrent.futures` only then, so importing this module loads
-no multiprocessing machinery.
+Scans take their primes from `primes_in_range` and validate k and m
+once, so the kernel never re-proves primality.  A scan is a list of
+plain (p, r) rows, r None for an exceptional prime, from the kernel to
+its consumer: `summarize_reports`, `exceptional_primes` and the CLI all
+read rows.  Every scan works through its range in blocks, one after
+another in this process or across the pool of
+`schur_search._process_pool`, which imports `concurrent.futures` only
+for threads > 1, so importing this module loads no multiprocessing
+machinery.
 
 `consecutive_pair_via_triple` is the constructive route to a consecutive
 residue pair: color {1..bound} by cosets of the k-th powers, find a
@@ -133,13 +135,12 @@ def scan_primes(k: int, m: int, p_min: int, p_max: int, threads: int = 1) -> lis
     _check_power_and_run(k, m)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if threads == 1:
-        return _scan_block((k, m, p_min, p_max))
     span = p_max - p_min + 1
     width = max(1024, span // (threads * 8) + 1)
     blocks = [(k, m, lo, min(lo + width - 1, p_max)) for lo in range(p_min, p_max + 1, width)]
     with _process_pool(threads) as pool:
-        return [row for block_rows in pool.map(_scan_block, blocks) for row in block_rows]
+        block_rows = (map if pool is None else pool.map)(_scan_block, blocks)
+        return [row for rows in block_rows for row in rows]
 
 
 def summarize_reports(

@@ -21,10 +21,11 @@ chain survives, while terms grow far slower than the factorial kind.
 
 Factorial terms stop being materializable at index 6 (the sixth term is a
 factorial of a 30-digit number).  `interval_sum_mod` therefore evaluates
-block sums modulo m directly: a factorial t! vanishes mod m as soon as
-t reaches the least integer whose factorial m divides (computed per
-prime power via Legendre's valuation formula), and only the first five
-terms ever fall below that threshold for any representable modulus.
+block sums modulo any m >= 1 directly (every sum is 0 mod 1): a factorial
+t! vanishes mod m as soon as t reaches the least integer whose factorial
+m divides (computed per prime power via Legendre's valuation formula),
+and only the first five terms ever fall below that threshold for any
+representable modulus.
 """
 
 from __future__ import annotations
@@ -255,8 +256,8 @@ def interval_sum_mod(i: int, j: int, m: int) -> int:
     """
     if not 1 <= i < j:
         raise IndexError(f"need 1 <= i < j, got i={i}, j={j}")
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
+    if m < 1:
+        raise ValueError(f"modulus must be >= 1, got {m}")
     # Each term from 6 on is the factorial of at least the 30-digit fifth
     # prefix sum, so it vanishes mod m whenever m divides that factorial.
     if j > 6 and kempner(m) > _EXACT_FACTORIAL_PREFIX[5]:

@@ -25,7 +25,7 @@ from schurdiv import (
     validate_coloring,
     witness_via_ramsey,
 )
-from schurdiv.primes import sieve
+from schurdiv.primes import primes_in_range
 from schurdiv.residues import summarize_reports
 from schurdiv.sequences import FACTORIAL
 
@@ -186,7 +186,7 @@ def test_criterion_6_residue_scan():
 def test_criterion_7_residue_bound_from_search(restricted_two_colors):
     s_prime = restricted_two_colors.S
     violations = []
-    for p in sieve(10_000):
+    for p in primes_in_range(2, 10_000):
         if p <= s_prime:
             continue
         r = residue_run_start(p, 2, 2)
@@ -225,7 +225,7 @@ def test_criterion_8_consecutive_ones(restricted_two_colors):
 def test_criterion_9_residue_test_oracle():
     start = time.perf_counter()
     ok = True
-    for p in sieve(999):
+    for p in primes_in_range(2, 999):
         for k in range(1, 7):
             residues = {pow(s, k, p) for s in range(1, p)}
             for r in range(1, p):

@@ -175,6 +175,16 @@ class TestWitness:
         assert (code, out) == (2, "")
         assert "modulus must be >= 1" in err
 
+    def test_ramsey_modulus_one_golden(self, capsys):
+        # Recorded when a modulus-1 rule had its own edge-colour branch; block sums mod 1 must match it.
+        code, out, err = run(capsys, "witness", "--coloring", "mod:1:0", "--via", "ramsey")
+        assert code == 0, err
+        assert out == (
+            '{"color":0,"found":true,"parameters":{"coloring":"mod:1:0","max-n":null,"via":"ramsey"},'
+            '"quotient":"1","r_exact":true,"r_vertices":3,"subcommand":"witness","tool_version":"0.1.0",'
+            '"triangle":[1,2,3],"via":"ramsey-construction","x":"1","y":"1","z":"2"}\n'
+        )
+
     def test_infeasible_is_runtime_failure(self, capsys, tmp_path):
         path = tmp_path / "colors.json"
         path.write_text(json.dumps([0, 1, 0, 1]))

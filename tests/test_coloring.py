@@ -64,6 +64,10 @@ class TestResidueColoring:
         with pytest.raises(OutOfDomainError):
             ResidueColoring(2, (0, 1)).color_of(0)
 
+    def test_modulus_is_an_int(self):
+        with pytest.raises(ValueError, match="modulus must be an integer >= 1, got True"):
+            ResidueColoring(True, (0,))
+
 
 class TestExplicitColoring:
     def test_table_lookup(self):
@@ -109,6 +113,11 @@ class TestCosetColoring:
         assert c.classes_on_units()[c.color_of(1)] == frozenset(
             {1, 2, 4, 8, 15, 16, 23, 27, 29, 30}
         )
+
+    @pytest.mark.parametrize("p, k", [(7, True), (2.0, 3)])
+    def test_prime_and_power_are_ints(self, p, k):
+        with pytest.raises(ValueError, match="needs an integer prime and power"):
+            CosetColoring(p, k)
 
     def test_first_powers_are_one_class(self):
         c = CosetColoring(7, 1)

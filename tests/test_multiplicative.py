@@ -71,10 +71,18 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             UnityFunction(2, {4: 1})
 
-    @pytest.mark.parametrize("exponents, default", [({2: 0.5}, 0), ({2: True}, 0), ({2: "1"}, 0), ({}, 1.0)])
+    @pytest.mark.parametrize(
+        "exponents, default", [({2: 0.5}, 0), ({2: True}, 0), ({2: "1"}, 0), ({}, 1.0), ({2.0: 1}, 0), ({"2": 1}, 0)]
+    )
     def test_rejects_exponents_that_are_not_ints(self, exponents, default):
+        # The last two are prime keys that are not ints.
         with pytest.raises(ValueError, match="must be integers"):
             UnityFunction(3, exponents, default)
+
+    @pytest.mark.parametrize("k", [True, 3.0])
+    def test_rejects_k_that_is_not_an_int(self, k):
+        with pytest.raises(ValueError, match="must be integers"):
+            UnityFunction(k)
 
     def test_factor_budget(self):
         f = UnityFunction(2, {}, 1)

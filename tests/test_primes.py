@@ -8,7 +8,6 @@ from schurdiv.primes import (
     factorize,
     is_prime,
     primes_in_range,
-    sieve,
     smallest_prime_factors,
 )
 
@@ -22,18 +21,18 @@ def brute_primes(limit):
 
 
 def test_sieve_matches_trial_division():
-    assert sieve(1000) == brute_primes(1000)
-    assert sieve(1) == []
-    assert sieve(2) == [2]
+    assert primes_in_range(2, 1000) == brute_primes(1000)
+    assert primes_in_range(2, 1) == []
+    assert primes_in_range(2, 2) == [2]
 
 
 @pytest.mark.parametrize("lo,hi", [(2, 100), (90, 130), (1000, 1100), (7, 7), (8, 8), (0, 3)])
 def test_primes_in_range_matches_sieve(lo, hi):
-    assert primes_in_range(lo, hi) == [p for p in sieve(max(hi, 2)) if lo <= p <= hi]
+    assert primes_in_range(lo, hi) == [p for p in primes_in_range(2, max(hi, 2)) if lo <= p <= hi]
 
 
 def test_is_prime_against_sieve():
-    table = set(sieve(20000))
+    table = set(primes_in_range(2, 20000))
     for n in range(20000):
         assert is_prime(n) == (n in table), n
 

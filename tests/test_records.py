@@ -3,9 +3,11 @@
 `import schurdiv.cli` must not load the process-pool or dataclass
 machinery; pools are imported on the first threaded call.  Every result
 record is a NamedTuple: fields keep their order and defaults, and
-assigning to a field raises AttributeError.
+assigning to a field raises AttributeError.  The package exports the
+union of its library modules' `__all__` lists and nothing else.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -57,6 +59,17 @@ class TestColdStart:
     def test_threaded_scan_imports_the_pool(self):
         code = "from schurdiv import scan_primes\nscan_primes(3, 2, 2, 3000, threads=2)"
         assert "concurrent.futures.process" in _loaded_after(code)
+
+
+LIBRARY_MODULES = ("coloring", "multiplicative", "primes", "ramsey", "residues", "schur_search", "sequences")
+
+
+def test_package_exports_are_the_modules_all():
+    declared = [name for module in LIBRARY_MODULES for name in importlib.import_module(f"schurdiv.{module}").__all__]
+    public = {name for name in vars(schurdiv) if not name.startswith("_")} - set(LIBRARY_MODULES) - {"cli"}
+    assert len(declared) == len(set(declared)) and public == set(declared)
+    assert "sieve" not in public
+    assert {"CACHE_VERSION", "LemmaViolation", "prime_table", "smallest_prime_factors"} <= public
 
 
 RECORDS = [

@@ -1,7 +1,7 @@
 import pytest
 
 from schurdiv import residues as residues_module
-from schurdiv.primes import sieve, smallest_prime_factors
+from schurdiv.primes import is_prime, primes_in_range, smallest_prime_factors
 from schurdiv.residues import (
     consecutive_pair_via_triple,
     exceptional_primes,
@@ -32,7 +32,7 @@ class TestIsKthResidue:
         assert all(is_kth_residue(r, 13, 1) for r in range(1, 13))
 
     def test_oracle_equivalence_small(self):
-        for p in sieve(200):
+        for p in primes_in_range(2, 200):
             for k in range(1, 7):
                 residues = brute_residue_set(p, k)
                 for r in range(1, p):
@@ -61,13 +61,13 @@ class TestRunStart:
         assert residue_run_start(19, 2, 3) == 4
 
     def test_oracle_equivalence(self):
-        for p in sieve(300):
+        for p in primes_in_range(2, 300):
             for k in (1, 2, 3):
                 for m in (1, 2, 3):
                     assert residue_run_start(p, k, m) == brute_run_start(p, k, m), (p, k, m)
 
     def test_minimality(self):
-        for p in sieve(300):
+        for p in primes_in_range(2, 300):
             r = residue_run_start(p, 2, 2)
             if r is None:
                 continue
@@ -77,7 +77,7 @@ class TestRunStart:
 
     def test_bijection_when_gcd_is_one(self):
         # k-th powers are all of the units when gcd(k, p-1) = 1
-        for p in sieve(100):
+        for p in primes_in_range(2, 100):
             for k in (1, 3, 5, 7):
                 if (p - 1) % k and p > 4:
                     assert residue_run_start(p, k, 3) == 1, (p, k)
@@ -93,7 +93,7 @@ class TestRunStartKernel:
 
     def test_oracle_equivalence_below_3000(self):
         # p = 2 and 3, d = 1, m > p - 1 and exceptional primes all occur.
-        for p in sieve(2999):
+        for p in primes_in_range(2, 2999):
             for k in range(1, 9):
                 residues = brute_residue_set(p, k)
                 for m in range(1, 5):
@@ -103,7 +103,7 @@ class TestRunStartKernel:
     def test_pow_fallback_past_the_factor_table(self, monkeypatch):
         table = smallest_prime_factors()[:16]
         monkeypatch.setattr(residues_module, "smallest_prime_factors", lambda: table)
-        for p in sieve(400):
+        for p in primes_in_range(2, 400):
             for k in (2, 3, 4, 6):
                 residues = brute_residue_set(p, k)
                 for m in (2, 3):
@@ -129,7 +129,7 @@ class TestRunStartKernel:
 class TestScan:
     def test_scan_7_to_50(self):
         reports = scan_primes(2, 2, 7, 50)
-        assert [p for p, _ in reports] == sieve(50)[3:]
+        assert [p for p, _ in reports] == primes_in_range(2, 50)[3:]
         got = dict(reports)
         assert got == {p: brute_run_start(p, 2, 2) for p in got}
         assert got[43] == 9
@@ -150,6 +150,21 @@ class TestScan:
         seq = scan_primes(2, 2, 7, 400)
         par = scan_primes(2, 2, 7, 400, threads=2)
         assert seq == par
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("window", ["narrow", "eight-blocks", "prime-block-start"])
+    def test_blocks_match_per_prime_rows(self, window, k, threads):
+        # Every scan runs in blocks of scan_primes' width; the rows must not show where blocks meet.
+        lo, hi = {"narrow": (100, 900), "eight-blocks": (2, 20_000), "prime-block-start": (3003, 6003)}[window]
+        starts = range(lo, hi + 1, max(1024, (hi - lo + 1) // (threads * 8) + 1))
+        assert {
+            "narrow": hi - lo + 1 < 1024,
+            "eight-blocks": len(starts) >= 8,
+            "prime-block-start": any(is_prime(start) for start in starts[1:]),
+        }[window]
+        want = [(p, residue_run_start(p, k, 2)) for p in primes_in_range(lo, hi)]
+        assert scan_primes(k, 2, lo, hi, threads) == want
 
     def test_monotone_in_range_growth(self):
         maxima = []
@@ -188,7 +203,7 @@ class TestExceptionalPrimes:
         # oracle-computed: 11 has the square run 3,4,5 and 19 has 4,5,6
         got = exceptional_primes(2, 3, 20)
         assert got == [2, 3, 5, 7, 13, 17]
-        assert got == [p for p in sieve(20) if brute_run_start(p, 2, 3) is None]
+        assert got == [p for p in primes_in_range(2, 20) if brute_run_start(p, 2, 3) is None]
 
 
 class TestConsecutivePair:

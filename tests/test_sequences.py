@@ -193,8 +193,13 @@ class TestIntervalSumMod:
             with pytest.raises(EvaluationInfeasibleError, match=rf"^term {term} of the factorial sequence"):
                 interval_sum_mod(i, j, big_prime)
 
+    def test_modulus_one(self):
+        # Every block sum is 0 mod 1, deep blocks past the fifth term included.
+        for i, j in combinations(range(1, 21), 2):
+            assert interval_sum_mod(i, j, 1) == 0, (i, j)
+
     def test_bad_arguments(self):
         with pytest.raises(IndexError):
             interval_sum_mod(3, 3, 5)
-        with pytest.raises(ValueError):
-            interval_sum_mod(1, 2, 1)
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            interval_sum_mod(1, 2, 0)
