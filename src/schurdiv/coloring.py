@@ -16,10 +16,22 @@ representative) plus one dedicated extra color for multiples of p, which
 makes them total on all positive integers.  They tell cosets apart by a
 power character evaluated per query, so they build no table of size p.
 
-A one-line spec grammar mirrors all of this for the command line:
+A one-line spec grammar mirrors all of this for the command line
+(`parse_coloring_spec`, and `schur-div witness --coloring SPEC`):
 
-    parity | mod:M:c0,...,c(M-1) | coset:P:K | explicit:PATH
-          | unity:K:p1=e1,p2=e2,...[:default=e]
+    parity
+        two colors by parity: color 0 for even, 1 for odd.
+    mod:M:c0,c1,...,c(M-1)
+        color of n is the entry for n mod M; exactly M comma-separated
+        0-based color indices.
+    coset:P:K
+        the coset coloring above for the prime P and the K-th powers.
+    explicit:PATH
+        PATH holds a JSON array of 0-based colors for 1..n.
+    unity:K:p1=e1,p2=e2,...[:default=e]
+        completely multiplicative function into K-th roots of unity,
+        given by prime exponents (empty assignment list allowed);
+        unlisted primes take the default exponent (0 unless given).
 """
 
 from __future__ import annotations

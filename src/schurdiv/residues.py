@@ -70,8 +70,7 @@ def is_kth_residue(r: int, p: int, k: int) -> bool:
         raise ValueError(f"{p} is not prime")
     if not 0 < r < p:
         raise ValueError(f"residue must satisfy 0 < r < p, got r={r}, p={p}")
-    if k < 1:
-        raise ValueError(f"power must be >= 1, got {k}")
+    _check_power_and_run(k, 1)
     return pow(r, _exponent(p, k), p) == 1
 
 
@@ -85,10 +84,12 @@ def residue_run_start(p: int, k: int, m: int) -> int | None:
 
 
 def _check_power_and_run(k: int, m: int) -> None:
-    if m < 1:
-        raise ValueError(f"run length must be >= 1, got {m}")
-    if k < 1:
-        raise ValueError(f"power must be >= 1, got {k}")
+    """Raise ValueError unless k and m are ints (bools refused) and >= 1."""
+    for name, value in (("run length", m), ("power", k)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _exponent(p: int, k: int) -> int:

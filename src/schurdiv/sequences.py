@@ -256,6 +256,8 @@ def interval_sum_mod(i: int, j: int, m: int) -> int:
     """
     if not 1 <= i < j:
         raise IndexError(f"need 1 <= i < j, got i={i}, j={j}")
+    if type(m) is not int:
+        raise ValueError(f"modulus must be an int, got {m!r}")
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
     # Each term from 6 on is the factorial of at least the 30-digit fifth

@@ -475,6 +475,11 @@ class TestMult:
         assert (code, out) == (2, "")
         assert "restricted_schur_bound must be >= 1, got 0" in err
 
+    def test_k_below_one_usage_error(self, capsys):
+        code, out, err = run(capsys, "mult", "--k", "0")
+        assert (code, out) == (2, "")
+        assert "--k must be >= 1, got 0" in err
+
     def test_bad_primes_usage_error(self, capsys):
         code, _, err = run(capsys, "mult", "--k", "2", "--primes", "4=1")
         assert code == 2
@@ -548,3 +553,57 @@ def test_threads_beyond_the_cpus_share_one_worker_each(capsys, inline_pools, arg
     assert code == 0
     assert inline_pools == [2, 2]
     assert many == two.replace('"threads":2', '"threads":500')
+
+
+# Stdout of every JSON subcommand, byte for byte: fields, envelope and key
+# order of each report are part of the tool's output contract.
+REPORT_BYTES = {
+    "seq --kind factorial --count 5 --check-divisibility": (
+        '{"checked":true,"count":5,"kind":"factorial","parameters":{"budget-digits":1000000,'
+        '"count":5,"kind":"factorial"},"subcommand":"seq","terms":["1","1","2","24",'
+        '"304888344611713860501504000000"],"tool_version":"0.1.0","violations":[]}\n'
+    ),
+    "seq --kind product --count 5": (
+        '{"checked":false,"count":5,"kind":"product","parameters":{"budget-digits":1000000,'
+        '"count":5,"kind":"product"},"subcommand":"seq","terms":["1","1","2","48",'
+        '"305510400"],"tool_version":"0.1.0","violations":[]}\n'
+    ),
+    "witness --coloring parity --via direct": (
+        '{"color":0,"found":true,"parameters":{"coloring":"parity","max-n":null,'
+        '"via":"direct"},"quotient":"1","subcommand":"witness","tool_version":"0.1.0",'
+        '"via":"direct-search","x":"2","y":"2","z":"4"}\n'
+    ),
+    "witness --coloring coset:7:2 --via ramsey": (
+        '{"color":0,"found":true,"parameters":{"coloring":"coset:7:2","max-n":null,'
+        '"via":"ramsey"},"quotient":"1","r_exact":true,"r_vertices":17,'
+        '"subcommand":"witness","tool_version":"0.1.0","triangle":[1,2,3],'
+        '"via":"ramsey-construction","x":"1","y":"1","z":"2"}\n'
+    ),
+    "witness --coloring mod:1:0 --via direct --max-n 1": (
+        '{"found":false,"n_max":1,"parameters":{"coloring":"mod:1:0","max-n":1,'
+        '"via":"direct"},"subcommand":"witness","tool_version":"0.1.0",'
+        '"via":"direct-search"}\n'
+    ),
+    "ramsey --colors 4": (
+        '{"colors":4,"exact":false,"parameters":{"colors":4},"subcommand":"ramsey",'
+        '"tool_version":"0.1.0","vertices":66}\n'
+    ),
+    "schur --colors 2 --restricted": (
+        '{"S":12,"W":11,"colors":2,"nodes":87,"parameters":{"budget-nodes":null,'
+        '"budget-secs":null,"colors":2,"max-n":null,"restricted":true,"threads":1},'
+        '"restricted":true,"status":"exact","subcommand":"schur","tool_version":"0.1.0",'
+        '"witness_coloring":[0,1,1,0,1,0,1,1,1,0,1]}\n'
+    ),
+    "mult --k 2 --default-exp 1 --bound 50 --verify-s-prime 12": (
+        '{"k":2,"minimal_a":9,"parameters":{"bound":50,"default-exp":1,"k":2,"primes":"",'
+        '"verify-s-prime":12},"search_bound":50,"subcommand":"mult","tool_version":"0.1.0",'
+        '"witness":{"a":9,"x":1,"y":9,"z":10}}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("invocation", sorted(REPORT_BYTES))
+def test_report_bytes_of_every_subcommand(capsys, invocation):
+    code, out, err = run(capsys, *invocation.split())
+    assert (code, err) == (0, "")
+    assert out == REPORT_BYTES[invocation]

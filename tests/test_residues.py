@@ -10,6 +10,7 @@ from schurdiv.residues import (
     scan_primes,
     summarize_reports,
 )
+from schurdiv.sequences import interval_sum_mod
 
 
 def brute_residue_set(p, k):
@@ -190,6 +191,22 @@ class TestScan:
     def test_threads_below_one(self, threads):
         with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
             scan_primes(2, 2, 7, 50, threads=threads)
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (residue_run_start, (7, 2, 2.0), "run length must be an int, got 2.0"),
+        (scan_primes, (True, 2, 2, 20), "power must be an int, got True"),
+        (is_kth_residue, (2, 7, 2.0), "power must be an int, got 2.0"),
+        (interval_sum_mod, (1, 3, 2.0), "modulus must be an int, got 2.0"),
+    ],
+)
+def test_power_run_and_modulus_must_be_ints(call, args, message):
+    """A float or bool power, run length or modulus is refused, not scanned
+    or reduced as if it were the integer it equals."""
+    with pytest.raises(ValueError, match=message):
+        call(*args)
 
 
 class TestExceptionalPrimes:
