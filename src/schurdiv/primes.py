@@ -35,6 +35,8 @@ class FactorizationBudgetError(ValueError):
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """Primes p with lo <= p <= hi, ascending, found by striking the
     multiples of every prime up to isqrt(hi) from the window."""
+    if type(lo) is not int or type(hi) is not int:
+        raise ValueError(f"bounds must be ints, got {lo!r} and {hi!r}")
     lo = max(lo, 2)
     if hi < lo:
         return []
@@ -95,8 +97,8 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> list[tuple[int, int]
     Trial division only goes up to `bound`; a leftover cofactor is accepted
     when it is provably prime, otherwise FactorizationBudgetError is raised.
     """
-    if n < 1:
-        raise ValueError(f"cannot factorize n={n}; need n >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"cannot factorize n={n!r}; need an int n >= 1")
     out: list[tuple[int, int]] = []
     rest = n
     # Primes up to isqrt(n) decide the factorization; a power-of-two table

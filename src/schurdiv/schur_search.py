@@ -6,13 +6,15 @@ definition, in (z, x) order, and a restricted z only tries its divisors
 up to z/2 (x | y iff x | z).  `forbidden_triples`, `validate_coloring`,
 the solver's pair table and `ramsey.direct_schur_div_search` all read
 it.  The solver assigns colors to 1, 2, 3, ... in natural order, keeping
-per color c two bitsets over 1..n: members[c], and banned[c], the
-integers c would complete a forbidden triple on.  Assigning v to c ORs
-`(members[c] & pairs[v]) << v` into banned[c]; the branch dies, before
-anything is written, once a new ban hits an integer every other color
-bans.  Undo restores banned[c] and members[c].  Used and new colors,
-with new bans or none, prefix enumeration and the search all run this
-one step (bitwise backtracking, Knuth TAOCP 7.2.2).
+per color c two bitsets over 1..n: its members m_c, and its bans b_c,
+the integers c would complete a forbidden triple on.  Assigning v to c
+gives the child b_c | ((m_c | 1 << v) & pairs[v]) << v; the branch dies
+once a new ban hits an integer every other color bans.  `_walk(l)`
+generates the walk for l colors from source, at the first search for l:
+its color loop is unrolled and every m_c and b_c is an argument, so a
+step writes nothing and undoes nothing.  Used and new colors, with new
+bans or none, prefix enumeration and the search all run this one step
+(bitwise backtracking, Knuth TAOCP 7.2.2).
 
 Twin subtrees are counted, not walked.  Every v <= n/2 is its own
 partner (v + v = 2v), so a color bans nothing at v only when v > n/2,
@@ -60,6 +62,7 @@ import os
 import sys
 import time
 from contextlib import nullcontext, suppress
+from functools import lru_cache
 from math import isfinite, isqrt
 from typing import Iterator, NamedTuple, Sequence
 
@@ -137,17 +140,17 @@ def validate_coloring(colors: Sequence[int], restricted: bool) -> list[Forbidden
 class _Searcher:
     """One depth-first search over colorings of {1..n} with l colors.
 
-    `_extend` holds the only assign/undo step, for used and new colors
-    alike.  It searches to `depth`, stopping at the first leaf, or
-    recording each leaf's state while `prefixes` is a list; `resume`
-    searches on from such a state.  A node tests its new bans against the
-    other colors, lowest first, before it writes.  `levels[v]` is
-    (pairs[v], 1 << v).  Budgets are polled only at node count `poll_at`,
-    reached by a node or a reused twin subtree: the deadline is read there
-    if it is a multiple of 2048, then the node limit raises at max_nodes + 1."""
+    The walk `_walk(l)` made for l colors holds the only assign step, for
+    used and new colors alike.  It searches to `depth`, stopping at the
+    first leaf, whose members it leaves in `members`, or recording each
+    leaf's state while `prefixes` is a list; `resume` searches on from such
+    a state.  `levels[v]` is (pairs[v], 1 << v).  Budgets are polled only
+    at node count `poll_at`, reached by a node or a reused twin subtree:
+    the deadline is read there if it is a multiple of 2048, then the node
+    limit raises at max_nodes + 1."""
 
-    __slots__ = ("l", "n", "members", "banned", "colors", "others", "levels", "nodes",
-                 "depth", "prefixes", "max_nodes", "deadline", "poll_at")
+    __slots__ = ("l", "n", "members", "banned", "levels", "nodes", "depth", "prefixes", "max_nodes",
+                 "deadline", "poll_at")
 
     def __init__(self, l: int, n: int, restricted: bool, max_nodes: int | None = None,
                  max_seconds: float | None = None):
@@ -160,9 +163,6 @@ class _Searcher:
         self.levels = [(p, 1 << v) for v, p in enumerate(pairs)]
         self.members = [0] * l
         self.banned = [0] * l
-        # colors[max_used + 1]: the colors in use and the next new one; others[c]: every other color.
-        self.colors = [range(min(k + 1, l)) for k in range(l + 1)]
-        self.others = [[d for d in range(l) if d != c] for c in range(l)]
         self.nodes = 0
         self.depth = n
         self.prefixes = None
@@ -204,7 +204,7 @@ class _Searcher:
 
     def collect_prefixes(self, depth: int) -> list[tuple[list[int], list[int], int]]:
         """The state at each viable coloring of 1..depth, in walk order:
-        copies of `members` and `banned`, and `nodes` on reaching it."""
+        `members` and `banned` as lists, and `nodes` on reaching it."""
         self.depth, self.prefixes = depth, []
         self.run(1, -1)
         prefixes, self.depth, self.prefixes = self.prefixes, self.n, None
@@ -218,53 +218,53 @@ class _Searcher:
 
     def run(self, start_v: int, max_used: int) -> list[int] | None:
         try:
-            found = self._extend(start_v, max_used)
+            found = _walk(self.l)(self, start_v, max_used, *self.members, *self.banned)
         except RecursionError:  # one frame per integer: a search too deep stops as if cut by a budget
             raise BudgetExhausted(self.nodes) from None
         return self.coloring() if found else None
 
-    def _extend(self, v: int, max_used: int) -> bool:
-        if v > self.depth:
-            if self.prefixes is None:
-                return True
-            self.prefixes.append((self.members[:], self.banned[:], self.nodes))
-            return False
-        banned = self.banned
-        members = self.members
-        pairs_v, bit = self.levels[v]
-        twin = None
-        for c in self.colors[max_used + 1]:
-            b = banned[c]
-            if b & bit:
-                continue
-            nodes = self.nodes + 1
-            self.nodes = nodes
-            if nodes >= self.poll_at:
-                self._poll(nodes)
-            m = members[c] | bit
-            hits = (m & pairs_v) << v
-            if hits:
-                # New bans land above v and no integer was fully banned before,
-                # so the node is dead iff they meet every other color's bans.
-                dead = hits
-                for d in self.others[c]:
-                    dead &= banned[d]
-                    if not dead:
-                        break
-                else:
-                    continue
-            elif twin is not None:
-                # A twin: the first one's refutation counts for the rest.
-                self._reuse(twin)
-                continue
-            members[c] = m
-            banned[c] = b | hits
-            if self._extend(v + 1, c if c > max_used else max_used):
-                return True
-            if not hits and self.prefixes is None:  # a recorded leaf returns False, which refutes nothing
-                twin = self.nodes - nodes
-            members[c], banned[c] = m ^ bit, b
+
+@lru_cache(maxsize=None)
+def _walk(l: int):
+    """The search walk for l colors, compiled from source built from the
+    integer l alone, as `collections.namedtuple` builds its methods.
+    walk(s, v, max_used, m0..m{l-1}, b0..b{l-1}) colors v onwards for the
+    _Searcher s.  Color c is tried iff max_used >= c - 1 and v is not in
+    b_c; its new bans `hits` land above v, where no integer was fully
+    banned, so it is dead iff `hits & b_d & ...` over every other d is not 0."""
+    ms = [f"m{c}" for c in range(l)]
+    bs = [f"b{c}" for c in range(l)]
+    source = f"""def walk(s, v, max_used, {', '.join(ms + bs)}):
+    if v > s.depth:
+        if s.prefixes is None:
+            s.members = [{', '.join(ms)}]
+            return True
+        s.prefixes.append(([{', '.join(ms)}], [{', '.join(bs)}], s.nodes))
         return False
+    pairs_v, bit = s.levels[v]
+    twin = None
+"""
+    for c in range(l):
+        child = ", ".join(ms[:c] + ["m"] + ms[c + 1:] + bs[:c] + [f"b{c} | hits"] + bs[c + 1:])
+        source += f"""    if max_used >= {c - 1} and not b{c} & bit:
+        nodes = s.nodes + 1
+        s.nodes = nodes
+        if nodes >= s.poll_at:
+            s._poll(nodes)
+        m = m{c} | bit
+        hits = (m & pairs_v) << v
+        if hits or twin is None:
+            if not {' & '.join(['hits'] + bs[:c] + bs[c + 1:])}:
+                if walk(s, v + 1, {c} if max_used < {c} else max_used, {child}):
+                    return True
+                if not hits and s.prefixes is None:  # a recorded leaf refutes nothing
+                    twin = s.nodes - nodes
+        else:  # a twin: the first one's refutation counts for the rest
+            s._reuse(twin)
+"""
+    namespace = {}
+    exec(compile(source + "    return False\n", f"<schur walk, {l} colors>", "exec"), namespace)
+    return namespace["walk"]
 
 
 def _cube_worker(args) -> tuple[list[int] | None, int]:

@@ -230,8 +230,8 @@ def _legendre_valuation(t: int, p: int) -> int:
 @lru_cache(maxsize=4096)
 def kempner(m: int) -> int:
     """Least t >= 1 with m | t!."""
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
+    if type(m) is not int or m < 1:
+        raise ValueError(f"modulus must be an int >= 1, got {m!r}")
     if m == 1:
         return 1
     best = 1

@@ -131,3 +131,14 @@ def test_smallest_prime_factors_match_factorize():
 def test_factorize_rejects_nonpositive():
     with pytest.raises(ValueError):
         factorize(0)
+
+
+@pytest.mark.parametrize("bad", [12.0, True, "12"])
+def test_non_int_arguments_are_refused(bad):
+    # A float used to fail in isqrt or range with TypeError; a bool passed as 1.
+    with pytest.raises(ValueError, match="int"):
+        factorize(bad)
+    with pytest.raises(ValueError, match="ints"):
+        primes_in_range(bad, 30)
+    with pytest.raises(ValueError, match="ints"):
+        primes_in_range(2, bad)

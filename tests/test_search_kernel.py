@@ -10,7 +10,9 @@ cube's prefix.
 The oracle also searches x + y = z with x < y, but the kernel only
 x <= y, the one problem schurdiv searches: its twin rule relies on every
 v <= n/2 being its own partner.  So every case passes the oracle
-allow_equal = True.  Five colors run under budgets only.  A new color
+allow_equal = True.  Five colors run under budgets only, and so do six
+and seven, which the sweep never reaches: the kernel's walk is generated
+per color count, so each count is code of its own.  A new color
 bans 2v at most, and no pair of integers below v bans 2v, so below the
 split depth its death test fires only with one color: the l = 1 cases
 guard it.
@@ -19,9 +21,12 @@ guard it.
 import concurrent.futures
 import os
 import pickle
+import subprocess
+import sys
 import time
 from contextlib import suppress
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +103,29 @@ def test_seeded_subtrees_match_oracle(l, restricted, allow_equal):
                 want = _result(old, lambda: old.run(d + 1, max(prefix)))
                 new = _new(l, n, restricted, 500)
                 assert _result(new, lambda: new.resume(members, banned)) == want, (n, prefix)
+
+
+@pytest.mark.parametrize("l", [6, 7])
+@pytest.mark.parametrize("restricted", [False, True])
+def test_unswept_color_counts_match_oracle(l, restricted):
+    # The walk is generated per color count: the sweep above compiles l = 1..5 only.
+    for n in (1, 2, 13, 100, 160):
+        for max_nodes in (37, 5_000):
+            want = _outcome(_old(l, n, restricted, True, max_nodes))
+            assert _outcome(_new(l, n, restricted, max_nodes)) == want, (n, max_nodes)
+    for depth in (3, 8):
+        want = _old(l, 20, restricted, True).collect_prefixes(depth)
+        assert [_colors(members) for members, _, _ in _new(l, 20, restricted).collect_prefixes(depth)] == want
+
+
+def test_import_compiles_no_walk():
+    # A walk is compiled at the first search for its color count, never on import.
+    src = str(Path(schur_search.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import schurdiv.cli, schurdiv.schur_search as s; print(s._walk.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "0\n"
 
 
 def test_public_entry_matches_oracle():
@@ -193,19 +221,24 @@ class TestTwinReuse:
             assert _outcome(_new(l, n, True, max_nodes)) == want, max_nodes
 
     @pytest.mark.parametrize("l,n,allow_equal", CASES)
-    def test_reuse_skips_the_walk(self, monkeypatch, l, n, allow_equal):
-        calls = []
-        extend = schur_search._Searcher._extend
+    def test_reuse_skips_the_walk(self, l, n, allow_equal):
+        # The walk is compiled per color count, so its frames are counted
+        # as profiler call events for its code object.
+        walk = schur_search._walk(l).__code__
+        calls = 0
 
-        def counting(self, v, max_used):
-            calls.append(v)
-            return extend(self, v, max_used)
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event == "call" and frame.f_code is walk
 
-        monkeypatch.setattr(schur_search._Searcher, "_extend", counting)
         searcher = _new(l, n, True, 200_000)
-        with suppress(BudgetExhausted):
-            searcher.run(1, -1)
-        assert len(calls) < searcher.nodes / 10
+        sys.setprofile(profile)
+        try:
+            with suppress(BudgetExhausted):
+                searcher.run(1, -1)
+        finally:
+            sys.setprofile(None)
+        assert 0 < calls < searcher.nodes / 10
 
     def test_low_integers_are_their_own_partners(self):
         # A twin bans nothing, so it needs v > n/2: each v <= n/2 pairs with itself in v + v = 2v.

@@ -162,6 +162,12 @@ class TestKempner:
         for p in (2, 3, 5, 7, 97, 9973):
             assert kempner(p) == p
 
+    @pytest.mark.parametrize("bad", [2.0, True, 0])
+    def test_bad_modulus_is_refused(self, bad):
+        # kempner(2.0) used to raise TypeError from isqrt, and kempner(True) returned 1.
+        with pytest.raises(ValueError, match="modulus must be an int >= 1"):
+            kempner(bad)
+
 
 class TestIntervalSumMod:
     def test_examples(self):
