@@ -40,7 +40,7 @@ import json
 from math import gcd
 
 from .multiplicative import UnityFunction, evaluate
-from .primes import is_prime
+from .primes import _check_int, is_prime
 
 __all__ = [
     "Coloring",
@@ -106,8 +106,7 @@ class ResidueColoring(Coloring):
     """Color determined by n mod modulus through a residue -> color map."""
 
     def __init__(self, modulus: int, class_map):
-        if type(modulus) is not int or modulus < 1:
-            raise ValueError(f"modulus must be an integer >= 1, got {modulus!r}")
+        _check_int("modulus", modulus, 1)
         class_map = tuple(class_map)
         if len(class_map) != modulus:
             raise ValueError(f"class map must have {modulus} entries, got {len(class_map)}")
@@ -139,12 +138,10 @@ class CosetColoring(Coloring):
     """
 
     def __init__(self, p: int, k: int):
-        if type(p) is not int or type(k) is not int:
-            raise ValueError(f"coset coloring needs an integer prime and power, got p={p!r}, k={k!r}")
+        _check_int("p", p)
         if not is_prime(p):
             raise ValueError(f"coset coloring needs a prime modulus, got {p}")
-        if k < 1:
-            raise ValueError(f"power exponent must be >= 1, got {k}")
+        _check_int("power", k, 1)
         self.p = p
         self.k = k
         self.coset_count = gcd(k, p - 1)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .primes import factorize, is_prime, smallest_prime_factors
+from .primes import _check_int, factorize, is_prime, smallest_prime_factors
 
 __all__ = [
     "ConsecutiveOnesWitness",
@@ -47,8 +47,7 @@ class UnityFunction(_UnityFields):
         exponents = dict(prime_exponents)
         if not all(type(v) is int for v in (k, default_exponent, *exponents, *exponents.values())):
             raise ValueError("k, primes and exponents must be integers")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        _check_int("k", k, 1)
         normalized = {}
         for p, e in exponents.items():
             if not is_prime(p):
@@ -66,15 +65,13 @@ class UnityFunction(_UnityFields):
 
 def evaluate(f: UnityFunction, n: int) -> int:
     """Exponent of f(n) in {0..k-1}; f(1) is exponent 0."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_int("n", n, 1)
     return sum(e * f.exponent_of(p) for p, e in factorize(n)) % f.k
 
 
 def min_consecutive_ones(f: UnityFunction, search_bound: int) -> int | None:
     """Minimal a <= search_bound with f(a) = f(a+1) = 1, or None."""
-    if search_bound < 1:
-        raise ValueError(f"search_bound must be >= 1, got {search_bound}")
+    _check_int("search_bound", search_bound, 1)
     spf = smallest_prime_factors()
     values = [0, 0]  # values[r] = exponent of f(r), appended for each r in the table
     prev = 0  # f(1)
@@ -111,8 +108,7 @@ def verify_consecutive_ones_bound(f: UnityFunction, restricted_schur_bound: int)
     from .coloring import UnityColoring
     from .ramsey import direct_schur_div_search
 
-    if restricted_schur_bound < 1:
-        raise ValueError(f"restricted_schur_bound must be >= 1, got {restricted_schur_bound}")
+    _check_int("restricted_schur_bound", restricted_schur_bound, 1)
     witness = direct_schur_div_search(UnityColoring(f), restricted_schur_bound)
     if witness is None:
         raise RuntimeError(

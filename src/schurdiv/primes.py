@@ -5,6 +5,8 @@ Shared arithmetic plumbing: residue scanners iterate primes from
 and the multiplicative-function evaluator factorizes small integers.
 `smallest_prime_factors` is the one least-prime-factor table (n < 4096);
 both run finders walk it, as g(r) = g(q) * g(r/q) for multiplicative g.
+`_check_int` is the library's one rule for an integer argument: an `int`
+(bools refused), and at least its least value when it has one.
 """
 
 from __future__ import annotations
@@ -32,11 +34,19 @@ class FactorizationBudgetError(ValueError):
     """Trial division ran out of primes before the cofactor was resolved."""
 
 
+def _check_int(name: str, value, least: int | None = None) -> None:
+    """Raise ValueError unless value is an int (bools refused) and, when least is given, >= least."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """Primes p with lo <= p <= hi, ascending, found by striking the
     multiples of every prime up to isqrt(hi) from the window."""
-    if type(lo) is not int or type(hi) is not int:
-        raise ValueError(f"bounds must be ints, got {lo!r} and {hi!r}")
+    _check_int("lo", lo)
+    _check_int("hi", hi)
     lo = max(lo, 2)
     if hi < lo:
         return []
@@ -54,6 +64,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin with fixed bases; deterministic for n < 3.3e24."""
+    _check_int("n", n)
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -97,8 +108,7 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> list[tuple[int, int]
     Trial division only goes up to `bound`; a leftover cofactor is accepted
     when it is provably prime, otherwise FactorizationBudgetError is raised.
     """
-    if type(n) is not int or n < 1:
-        raise ValueError(f"cannot factorize n={n!r}; need an int n >= 1")
+    _check_int("n", n, 1)
     out: list[tuple[int, int]] = []
     rest = n
     # Primes up to isqrt(n) decide the factorization; a power-of-two table

@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Callable, NamedTuple
 
 from .coloring import Coloring, CosetColoring, OutOfDomainError, ResidueColoring
-from .primes import FactorizationBudgetError
+from .primes import FactorizationBudgetError, _check_int
 from .schur_search import _triples
 from .sequences import (
     _EXACT_FACTORIAL_TERMS,
@@ -65,8 +65,7 @@ class R3Info(NamedTuple):
 def r3_value_or_bound(l: int) -> R3Info:
     """Exact triangle Ramsey number for l <= 3; the recursive upper bound
     R(l) <= l*(R(l-1) - 1) + 2 beyond, flagged as a bound."""
-    if l < 1:
-        raise ValueError(f"color count must be >= 1, got {l}")
+    _check_int("color count", l, 1)
     if l in _R3_EXACT:
         return R3Info(l, _R3_EXACT[l], True)
     v = _R3_EXACT[3]
@@ -176,8 +175,7 @@ def witness_via_ramsey(coloring: Coloring) -> SchurWitness:
 def direct_schur_div_search(coloring: Coloring, n_max: int) -> SchurWitness | None:
     """First monochromatic (x, a*x, (a+1)*x) with z = (a+1)*x <= n_max,
     scanning in increasing z then increasing x; None if there is none."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _check_int("n_max", n_max, 1)
     color = lru_cache(maxsize=None)(coloring.color_of)
     for x, y, z in _triples(n_max, restricted=True):
         c = color(z)

@@ -38,7 +38,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .coloring import CosetColoring
-from .primes import is_prime, primes_in_range, smallest_prime_factors
+from .primes import _check_int, is_prime, primes_in_range, smallest_prime_factors
 from .ramsey import SchurWitness, direct_schur_div_search
 from .schur_search import _process_pool
 
@@ -68,9 +68,10 @@ def is_kth_residue(r: int, p: int, k: int) -> bool:
     """True iff r is congruent to a k-th power mod p, for 0 < r < p."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    _check_int("r", r)
     if not 0 < r < p:
         raise ValueError(f"residue must satisfy 0 < r < p, got r={r}, p={p}")
-    _check_power_and_run(k, 1)
+    _check_int("power", k, 1)
     return pow(r, _exponent(p, k), p) == 1
 
 
@@ -79,17 +80,9 @@ def residue_run_start(p: int, k: int, m: int) -> int | None:
     None when no such run exists (an exceptional prime)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    _check_power_and_run(k, m)
+    _check_int("power", k, 1)
+    _check_int("run length", m, 1)
     return _run_start(p, k, m)
-
-
-def _check_power_and_run(k: int, m: int) -> None:
-    """Raise ValueError unless k and m are ints (bools refused) and >= 1."""
-    for name, value in (("run length", m), ("power", k)):
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an int, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _exponent(p: int, k: int) -> int:
@@ -131,11 +124,13 @@ def _scan_block(args: tuple[int, int, int, int]) -> list[tuple[int, int | None]]
 def scan_primes(k: int, m: int, p_min: int, p_max: int, threads: int = 1) -> list[tuple[int, int | None]]:
     """One (p, r) row per prime in [p_min, p_max], r None for an exceptional
     prime; ascending regardless of threads."""
+    _check_int("p_min", p_min)
+    _check_int("p_max", p_max)
     if not 2 <= p_min <= p_max:
         raise ValueError(f"need 2 <= p_min <= p_max, got {p_min}..{p_max}")
-    _check_power_and_run(k, m)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    _check_int("power", k, 1)
+    _check_int("run length", m, 1)
+    _check_int("threads", threads, 1)
     span = p_max - p_min + 1
     width = max(1024, span // (threads * 8) + 1)
     blocks = [(k, m, lo, min(lo + width - 1, p_max)) for lo in range(p_min, p_max + 1, width)]
@@ -177,8 +172,7 @@ def consecutive_pair_via_triple(p: int, k: int, bound: int) -> ConsecutivePair |
     small for the coset count); that outcome is reported, not raised."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
+    _check_int("bound", bound, 1)
     if p <= bound:
         raise ValueError(f"need p > bound, got p={p}, bound={bound}")
     witness = direct_schur_div_search(CosetColoring(p, k), bound)

@@ -66,6 +66,8 @@ from functools import lru_cache
 from math import isfinite, isqrt
 from typing import Iterator, NamedTuple, Sequence
 
+from .primes import _check_int
+
 __all__ = [
     "BudgetExhausted",
     "CACHE_VERSION",
@@ -126,8 +128,7 @@ def _triples(n: int, restricted: bool) -> Iterator[tuple[int, int, int]]:
 def forbidden_triples(n: int, restricted: bool) -> list[ForbiddenTriple]:
     """All triples x + y = z with x <= y <= z <= n to avoid monochromatically,
     restricted ones additionally demanding x | y; sorted by (z, x)."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _check_int("n", n, 2)
     return [ForbiddenTriple(x, y, z, restricted) for x, y, z in _triples(n, restricted)]
 
 
@@ -292,11 +293,11 @@ def exists_valid_coloring(
 
 def _check_problem(l: int, n_name: str, n: int | None, max_nodes: int | None, max_seconds: float | None,
                    threads: int) -> None:
-    """Reject counts below their least value and seconds below 0 or not finite; None is unbounded."""
+    """Counts must be ints >= their least value and seconds finite and >= 0; None is unbounded."""
     for name, value, least in (("color count", l, 1), (n_name, n, 1), ("max_nodes", max_nodes, 0),
                                ("threads", threads, 1)):
-        if value is not None and value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+        if value is not None:
+            _check_int(name, value, least)
     if max_seconds is not None and not (isfinite(max_seconds) and max_seconds >= 0):
         raise ValueError(f"max_seconds must be finite and >= 0, got {max_seconds}")
 

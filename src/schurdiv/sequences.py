@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .primes import factorize
+from .primes import _check_int, factorize
 
 __all__ = [
     "DEFAULT_DIGIT_BUDGET",
@@ -111,9 +111,8 @@ def generate(kind: str, count: int, size_budget: int = DEFAULT_DIGIT_BUDGET) -> 
     Raises SequenceBudgetError naming the first term whose size estimate
     exceeds `size_budget` total decimal digits across all terms.
     """
-    for name, value in (("count", count), ("size_budget", size_budget)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    _check_int("count", count, 1)
+    _check_int("size_budget", size_budget, 1)
     if kind == FACTORIAL:
         terms = _generate_factorial(count, size_budget)
     elif kind == PRODUCT:
@@ -164,6 +163,8 @@ def _generate_product(count: int, budget: int) -> list[int]:
 
 def interval_sum(seq: WitnessSequence, i: int, j: int) -> int:
     """Block sum terms[i] + ... + terms[j-1] (1-based, half-open at j)."""
+    _check_int("i", i)
+    _check_int("j", j)
     n = len(seq.terms)
     if not (1 <= i < j <= n + 1):
         raise IndexError(f"need 1 <= i < j <= {n + 1}, got i={i}, j={j}")
@@ -196,6 +197,7 @@ def check_divisibility_lemma(seq: WitnessSequence, limit: int) -> LemmaReport:
     term count by one: a sequence of N terms supports index triples drawn
     from {1..N+1}.
     """
+    _check_int("limit", limit)
     n = len(seq.terms)
     if not (1 <= limit <= n + 1):
         raise IndexError(f"limit must be in 1..{n + 1}, got {limit}")
@@ -230,8 +232,7 @@ def _legendre_valuation(t: int, p: int) -> int:
 @lru_cache(maxsize=4096)
 def kempner(m: int) -> int:
     """Least t >= 1 with m | t!."""
-    if type(m) is not int or m < 1:
-        raise ValueError(f"modulus must be an int >= 1, got {m!r}")
+    _check_int("modulus", m, 1)
     if m == 1:
         return 1
     best = 1
@@ -254,15 +255,15 @@ def interval_sum_mod(i: int, j: int, m: int) -> int:
     Its terms past index 5 are congruent to 0 for every feasible modulus,
     so arbitrarily deep block sums reduce to at most five exact summands.
     """
+    _check_int("i", i)
+    _check_int("j", j)
     if not 1 <= i < j:
         raise IndexError(f"need 1 <= i < j, got i={i}, j={j}")
-    if type(m) is not int:
-        raise ValueError(f"modulus must be an int, got {m!r}")
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
+    _check_int("modulus", m, 1)
     # Each term from 6 on is the factorial of at least the 30-digit fifth
-    # prefix sum, so it vanishes mod m whenever m divides that factorial.
-    if j > 6 and kempner(m) > _EXACT_FACTORIAL_PREFIX[5]:
+    # prefix sum t, so it vanishes mod m whenever m divides t!, and
+    # kempner(m) <= m settles every m <= t without factorizing it.
+    if j > 6 and m > _EXACT_FACTORIAL_PREFIX[5] and kempner(m) > _EXACT_FACTORIAL_PREFIX[5]:
         raise EvaluationInfeasibleError(
             f"term {max(i, 6)} of the factorial sequence cannot be reduced mod {m}: "
             f"the modulus divides no factorial below the materializable range"

@@ -65,7 +65,7 @@ class TestResidueColoring:
             ResidueColoring(2, (0, 1)).color_of(0)
 
     def test_modulus_is_an_int(self):
-        with pytest.raises(ValueError, match="modulus must be an integer >= 1, got True"):
+        with pytest.raises(ValueError, match="modulus must be an int, got True"):
             ResidueColoring(True, (0,))
 
 
@@ -116,7 +116,7 @@ class TestCosetColoring:
 
     @pytest.mark.parametrize("p, k", [(7, True), (2.0, 3)])
     def test_prime_and_power_are_ints(self, p, k):
-        with pytest.raises(ValueError, match="needs an integer prime and power"):
+        with pytest.raises(ValueError, match="(p|power) must be an int, got"):
             CosetColoring(p, k)
 
     def test_first_powers_are_one_class(self):

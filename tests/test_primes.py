@@ -136,9 +136,9 @@ def test_factorize_rejects_nonpositive():
 @pytest.mark.parametrize("bad", [12.0, True, "12"])
 def test_non_int_arguments_are_refused(bad):
     # A float used to fail in isqrt or range with TypeError; a bool passed as 1.
-    with pytest.raises(ValueError, match="int"):
+    with pytest.raises(ValueError, match="n must be an int, got"):
         factorize(bad)
-    with pytest.raises(ValueError, match="ints"):
+    with pytest.raises(ValueError, match="lo must be an int, got"):
         primes_in_range(bad, 30)
-    with pytest.raises(ValueError, match="ints"):
+    with pytest.raises(ValueError, match="hi must be an int, got"):
         primes_in_range(2, bad)

@@ -1,7 +1,12 @@
+from functools import partial
+
 import pytest
 
 from schurdiv import residues as residues_module
+from schurdiv.coloring import ResidueColoring
+from schurdiv.multiplicative import UnityFunction, evaluate, min_consecutive_ones, verify_consecutive_ones_bound
 from schurdiv.primes import is_prime, primes_in_range, smallest_prime_factors
+from schurdiv.ramsey import direct_schur_div_search, r3_value_or_bound
 from schurdiv.residues import (
     consecutive_pair_via_triple,
     exceptional_primes,
@@ -10,7 +15,8 @@ from schurdiv.residues import (
     scan_primes,
     summarize_reports,
 )
-from schurdiv.sequences import interval_sum_mod
+from schurdiv.schur_search import exists_valid_coloring, forbidden_triples, schur_number
+from schurdiv.sequences import check_divisibility_lemma, generate, interval_sum, interval_sum_mod
 
 
 def brute_residue_set(p, k):
@@ -200,11 +206,36 @@ class TestScan:
         (scan_primes, (True, 2, 2, 20), "power must be an int, got True"),
         (is_kth_residue, (2, 7, 2.0), "power must be an int, got 2.0"),
         (interval_sum_mod, (1, 3, 2.0), "modulus must be an int, got 2.0"),
+        (schur_number, (True,), "color count must be an int, got True"),
+        (partial(schur_number, max_nodes=100.0), (3,), "max_nodes must be an int, got 100.0"),
+        (partial(schur_number, max_n=3.0), (2,), "max_n must be an int, got 3.0"),
+        (partial(schur_number, threads=1.0), (2,), "threads must be an int, got 1.0"),
+        (exists_valid_coloring, (3, 10.0), "n must be an int, got 10.0"),
+        (forbidden_triples, (5.0, False), "n must be an int, got 5.0"),
+        (generate, ("factorial", 3.0), "count must be an int, got 3.0"),
+        (generate, ("factorial", 3, 100.0), "size_budget must be an int, got 100.0"),
+        (r3_value_or_bound, (2.0,), "color count must be an int, got 2.0"),
+        (direct_schur_div_search, (ResidueColoring(2, (0, 1)), 9.0), "n_max must be an int, got 9.0"),
+        (partial(scan_primes, threads=2.0), (2, 2, 2, 20), "threads must be an int, got 2.0"),
+        (scan_primes, (2, 2, 2.0, 20), "p_min must be an int, got 2.0"),
+        (scan_primes, (2, 2, 2, 20.0), "p_max must be an int, got 20.0"),
+        (is_prime, (7.0,), "n must be an int, got 7.0"),
+        (residue_run_start, (43.0, 2, 2), "n must be an int, got 43.0"),
+        (is_kth_residue, (2.0, 7, 2), "r must be an int, got 2.0"),
+        (consecutive_pair_via_triple, (11, 2, 9.0), "bound must be an int, got 9.0"),
+        (interval_sum_mod, (1.0, 3, 7), "i must be an int, got 1.0"),
+        (interval_sum_mod, (1, 3.0, 7), "j must be an int, got 3.0"),
+        (interval_sum, (generate("factorial", 4), 1.0, 3), "i must be an int, got 1.0"),
+        (interval_sum, (generate("factorial", 4), 1, 3.0), "j must be an int, got 3.0"),
+        (check_divisibility_lemma, (generate("factorial", 4), 4.0), "limit must be an int, got 4.0"),
+        (evaluate, (UnityFunction(2), 6.0), "n must be an int, got 6.0"),
+        (min_consecutive_ones, (UnityFunction(2), 10.0), "search_bound must be an int, got 10.0"),
+        (verify_consecutive_ones_bound, (UnityFunction(2), 5.0), "restricted_schur_bound must be an int, got 5.0"),
     ],
 )
 def test_power_run_and_modulus_must_be_ints(call, args, message):
-    """A float or bool power, run length or modulus is refused, not scanned
-    or reduced as if it were the integer it equals."""
+    """A float or bool integer argument is refused with a ValueError naming
+    it, not searched, scanned or reduced as if it were the integer it equals."""
     with pytest.raises(ValueError, match=message):
         call(*args)
 

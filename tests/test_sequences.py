@@ -165,7 +165,7 @@ class TestKempner:
     @pytest.mark.parametrize("bad", [2.0, True, 0])
     def test_bad_modulus_is_refused(self, bad):
         # kempner(2.0) used to raise TypeError from isqrt, and kempner(True) returned 1.
-        with pytest.raises(ValueError, match="modulus must be an int >= 1"):
+        with pytest.raises(ValueError, match="modulus must be (an int|>= 1), got"):
             kempner(bad)
 
 
@@ -174,6 +174,8 @@ class TestIntervalSumMod:
         assert interval_sum_mod(4, 5, 7) == 3  # 24 mod 7
         assert interval_sum_mod(5, 6, 7) == 0  # 28! contains 7
         assert interval_sum_mod(1, 3, 5) == 2
+        # Terms from index 6 on vanish mod any m <= 28 + 28!, so this m is never factorized.
+        assert interval_sum_mod(1, 7, (10**6 + 3) * (10**6 + 33)) == 73979533564
 
     def test_matches_exact_sums(self):
         seq = generate(FACTORIAL, 5)
