@@ -2,13 +2,13 @@
 
 Four rule families share one interface: explicit tables, residue classes
 modulo m, cosets of the k-th-power subgroup modulo a prime, and
-completely multiplicative functions into roots of unity.  Color indices
-are 0-based everywhere.  Colorings are immutable after construction and
-`color_of` is pure, so instances are safe to share across workers.
+completely multiplicative functions into roots of unity.  `color_of(n)`
+checks n once for all of them (ValueError unless an int, OutOfDomainError
+below 1) and returns the rule's 0-based `_color(n)`.  Colorings are
+immutable and `color_of` is pure, so instances are safe to share.
 
-Residue and coset rules reduce modulo something, so they accept
-arbitrary-precision arguments; explicit tables are bounded and raise
-OutOfDomainError outside their table.
+Residue and coset rules color by n mod `modulus` (None on other rules), so
+any n works; explicit tables raise OutOfDomainError past their end.
 
 Coset colorings assign one color per coset of the subgroup of k-th
 powers in the multiplicative group mod p (ordered by smallest positive
@@ -69,17 +69,17 @@ class ColoringSpecError(ValueError):
 
 
 class Coloring:
-    """Total assignment of colors {0..num_colors-1} on a declared domain."""
+    """Colors {0..num_colors-1} on a declared domain; each rule defines `_color(n)` for checked n."""
 
     num_colors: int
-    domain_max: int | None  # None means unbounded
+    domain_max: int | None = None  # None means unbounded
+    modulus: int | None = None  # set by rules that color n by n mod modulus
 
     def color_of(self, n: int) -> int:
-        raise NotImplementedError
-
-    def _check_positive(self, n: int) -> None:
+        _check_int("n", n)
         if n < 1:
             raise OutOfDomainError(f"colorings are defined on positive integers, got {n}")
+        return self._color(n)
 
 
 class ExplicitColoring(Coloring):
@@ -95,8 +95,7 @@ class ExplicitColoring(Coloring):
         self.num_colors = max(table) + 1
         self.domain_max = len(table)
 
-    def color_of(self, n: int) -> int:
-        self._check_positive(n)
+    def _color(self, n: int) -> int:
         if n > self.domain_max:
             raise OutOfDomainError(f"n={n} outside explicit domain 1..{self.domain_max}")
         return self.table[n - 1]
@@ -115,14 +114,9 @@ class ResidueColoring(Coloring):
         self.modulus = modulus
         self.class_map = class_map
         self.num_colors = max(class_map) + 1
-        self.domain_max = None
 
-    def color_of(self, n: int) -> int:
-        self._check_positive(n)
+    def _color(self, n: int) -> int:
         return self.class_map[n % self.modulus]
-
-    def color_of_residue(self, r: int) -> int:
-        return self.class_map[r % self.modulus]
 
 
 class CosetColoring(Coloring):
@@ -147,7 +141,6 @@ class CosetColoring(Coloring):
         self.coset_count = gcd(k, p - 1)
         self.extra_color = self.coset_count
         self.num_colors = self.coset_count + 1
-        self.domain_max = None
         self.modulus = p
         self.exponent = (p - 1) // self.coset_count
         color_by_chi: dict[int, int] = {}
@@ -157,12 +150,8 @@ class CosetColoring(Coloring):
             r += 1
         self._color_by_chi = color_by_chi
 
-    def color_of(self, n: int) -> int:
-        self._check_positive(n)
-        return self.color_of_residue(n)
-
-    def color_of_residue(self, r: int) -> int:
-        r %= self.p
+    def _color(self, n: int) -> int:
+        r = n % self.p
         if r == 0:
             return self.extra_color
         return self._color_by_chi[pow(r, self.exponent, self.p)]
@@ -171,7 +160,7 @@ class CosetColoring(Coloring):
         """The coset classes restricted to {1..p-1}, indexed by color."""
         classes = [set() for _ in range(self.coset_count)]
         for r in range(1, self.p):
-            classes[self.color_of_residue(r)].add(r)
+            classes[self.color_of(r)].add(r)
         return tuple(frozenset(c) for c in classes)
 
 
@@ -181,10 +170,8 @@ class UnityColoring(Coloring):
     def __init__(self, func: UnityFunction):
         self.func = func
         self.num_colors = func.k
-        self.domain_max = None
 
-    def color_of(self, n: int) -> int:
-        self._check_positive(n)
+    def _color(self, n: int) -> int:
         return evaluate(self.func, n)
 
 

@@ -90,6 +90,7 @@ def is_prime(n: int) -> bool:
 @lru_cache(maxsize=8)
 def prime_table(limit: int) -> tuple[int, ...]:
     """Cached ascending prime tuple for repeated trial division."""
+    _check_int("limit", limit)
     return tuple(primes_in_range(2, limit))
 
 
@@ -109,6 +110,7 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> list[tuple[int, int]
     when it is provably prime, otherwise FactorizationBudgetError is raised.
     """
     _check_int("n", n, 1)
+    _check_int("bound", bound, 2)
     out: list[tuple[int, int]] = []
     rest = n
     # Primes up to isqrt(n) decide the factorization; a power-of-two table

@@ -10,9 +10,9 @@ lexicographic order.  It colors an edge only when it first reaches it,
 since 7 colors already need 13,701 vertices (93,851,850 edges).
 
 Block sums grow past anything materializable almost immediately, so the
-edge colors of residue and coset rules are evaluated modulo their
-modulus, 1 included, by `interval_sum_mod`; other rules fail at the
-first edge the scan reaches whose sum needs a term past the fifth.
+edge colors of a rule with a `modulus` m, 1 included, are evaluated mod m
+by `interval_sum_mod`, and a sum that is 0 mod m takes the color of m;
+other rules fail at the first edge reached whose sum needs a term past the fifth.
 Witness values are reported exactly when the triangle sits low enough,
 and as (i, j) span descriptors otherwise.
 
@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, NamedTuple
 
-from .coloring import Coloring, CosetColoring, OutOfDomainError, ResidueColoring
+from .coloring import Coloring, OutOfDomainError
 from .primes import FactorizationBudgetError, _check_int
 from .schur_search import _triples
 from .sequences import (
@@ -85,6 +85,7 @@ def find_mono_triangle(vertex_count: int, color: Callable[[int, int], int]) -> M
     """Lexicographically smallest monochromatic triangle of K_vertex_count
     under the edge coloring color(i, j), i < j, or None.  Each edge is
     colored once, when the scan first reaches it, and the rest never."""
+    _check_int("vertex_count", vertex_count, 0)
     color = lru_cache(maxsize=None)(color)
     for i, j, k in combinations(range(1, vertex_count + 1), 3):
         c = color(i, j)
@@ -121,9 +122,9 @@ class SchurWitness(NamedTuple):
 
 def _edge_color_function(coloring: Coloring) -> Callable[[int, int], int]:
     """Color of the block sum a(i..j-1) as a function of the edge (i, j)."""
-    if isinstance(coloring, (ResidueColoring, CosetColoring)):
-        m = coloring.modulus
-        return lambda i, j: coloring.color_of_residue(interval_sum_mod(i, j, m))
+    m = coloring.modulus
+    if m is not None:  # m is the least positive member of the class 0 mod m
+        return lambda i, j: coloring.color_of(interval_sum_mod(i, j, m) or m)
     seq = generate(FACTORIAL, _MATERIALIZABLE_TERMS)
 
     def color(i: int, j: int) -> int:

@@ -579,6 +579,21 @@ REPORT_BYTES = {
         '"subcommand":"witness","tool_version":"0.1.0","triangle":[1,2,3],'
         '"via":"ramsey-construction","x":"1","y":"1","z":"2"}\n'
     ),
+    # each edge sum of the triangle [1,4,5] is 0 mod 4
+    "witness --coloring mod:4:2,0,1,1 --via ramsey": (
+        '{"color":2,"found":true,"parameters":{"coloring":"mod:4:2,0,1,1","max-n":null,'
+        '"via":"ramsey"},"quotient":"6","r_exact":true,"r_vertices":17,'
+        '"subcommand":"witness","tool_version":"0.1.0","triangle":[1,4,5],'
+        '"via":"ramsey-construction","x":"4","y":"24","z":"28"}\n'
+    ),
+    # color 3 is the extra color, for multiples of 13
+    "witness --coloring coset:13:3 --via ramsey": (
+        '{"color":3,"found":true,"parameters":{"coloring":"coset:13:3","max-n":null,'
+        '"via":"ramsey"},"quotient":"11726474792758225403904000000","r_exact":false,'
+        '"r_vertices":66,"subcommand":"witness","tool_version":"0.1.0","triangle":[3,5,6],'
+        '"via":"ramsey-construction","x":"26","y":"304888344611713860501504000000",'
+        '"z":"304888344611713860501504000026"}\n'
+    ),
     "witness --coloring mod:1:0 --via direct --max-n 1": (
         '{"found":false,"n_max":1,"parameters":{"coloring":"mod:1:0","max-n":1,'
         '"via":"direct"},"subcommand":"witness","tool_version":"0.1.0",'

@@ -41,6 +41,16 @@ def brute_coset_table(p, k):
 PRIMES_BELOW_200 = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
 
 
+@pytest.mark.parametrize(
+    "coloring",
+    [ResidueColoring(2, (0, 1)), ExplicitColoring([0, 1]), CosetColoring(7, 2), UnityColoring(UnityFunction(2))],
+)
+def test_every_rule_refuses_nonpositive_n(coloring):
+    for n in (0, -3):
+        with pytest.raises(OutOfDomainError, match=f"positive integers, got {n}"):
+            coloring.color_of(n)
+
+
 class TestResidueColoring:
     def test_parity_example(self):
         assert ResidueColoring(2, (0, 1)).color_of(7) == 1

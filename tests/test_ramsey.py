@@ -5,16 +5,17 @@ from itertools import combinations
 
 import pytest
 
-from schurdiv.coloring import ExplicitColoring, UnityColoring, parse_coloring_spec
+from schurdiv.coloring import CosetColoring, ExplicitColoring, ResidueColoring, UnityColoring, parse_coloring_spec
 from schurdiv.multiplicative import UnityFunction
 from schurdiv.ramsey import (
     EvaluationInfeasibleError,
+    _edge_color_function,
     direct_schur_div_search,
     find_mono_triangle,
     r3_value_or_bound,
     witness_via_ramsey,
 )
-from schurdiv.sequences import interval_sum_mod
+from schurdiv.sequences import generate, interval_sum, interval_sum_mod
 from test_schur_search import brute_triples
 
 
@@ -207,6 +208,20 @@ class TestWitnessViaRamsey:
     def test_unity_single_color_works(self):
         w = witness_via_ramsey(UnityColoring(UnityFunction(1, {})))
         assert (w.x, w.y, w.z) == (1, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "coloring", [ResidueColoring(4, (2, 0, 1, 1)), CosetColoring(7, 2), CosetColoring(13, 3)]
+)
+def test_modular_edge_color_is_color_of_the_block_sum(coloring):
+    # the edge color reduces the block sum mod m; it must agree with
+    # color_of of the exact sum, also where that sum is 0 mod m
+    seq = generate("factorial", 5)
+    edge_color = _edge_color_function(coloring)
+    sums = {(i, j): interval_sum(seq, i, j) for i, j in combinations(range(1, 7), 2)}
+    assert any(s % coloring.modulus == 0 for s in sums.values())
+    for (i, j), s in sums.items():
+        assert edge_color(i, j) == coloring.color_of(s), (i, j, s)
 
 
 class TestDirectSearch:

@@ -3,10 +3,10 @@ from functools import partial
 import pytest
 
 from schurdiv import residues as residues_module
-from schurdiv.coloring import ResidueColoring
+from schurdiv.coloring import CosetColoring, ExplicitColoring, ResidueColoring, UnityColoring, parse_coloring_spec
 from schurdiv.multiplicative import UnityFunction, evaluate, min_consecutive_ones, verify_consecutive_ones_bound
-from schurdiv.primes import is_prime, primes_in_range, smallest_prime_factors
-from schurdiv.ramsey import direct_schur_div_search, r3_value_or_bound
+from schurdiv.primes import factorize, is_prime, prime_table, primes_in_range, smallest_prime_factors
+from schurdiv.ramsey import direct_schur_div_search, find_mono_triangle, r3_value_or_bound
 from schurdiv.residues import (
     consecutive_pair_via_triple,
     exceptional_primes,
@@ -231,6 +231,24 @@ class TestScan:
         (evaluate, (UnityFunction(2), 6.0), "n must be an int, got 6.0"),
         (min_consecutive_ones, (UnityFunction(2), 10.0), "search_bound must be an int, got 10.0"),
         (verify_consecutive_ones_bound, (UnityFunction(2), 5.0), "restricted_schur_bound must be an int, got 5.0"),
+        (ResidueColoring(2, (0, 1)).color_of, (True,), "n must be an int, got True"),
+        (ResidueColoring(2, (0, 1)).color_of, (2.0,), "n must be an int, got 2.0"),
+        (ExplicitColoring([5, 6]).color_of, (True,), "n must be an int, got True"),
+        (ExplicitColoring([5, 6]).color_of, (2.0,), "n must be an int, got 2.0"),
+        (CosetColoring(7, 2).color_of, (True,), "n must be an int, got True"),
+        (CosetColoring(7, 2).color_of, (2.0,), "n must be an int, got 2.0"),
+        # evaluate already refuses True and 2.0; these reached the domain check first
+        (UnityColoring(UnityFunction(2)).color_of, (False,), "n must be an int, got False"),
+        (UnityColoring(UnityFunction(2)).color_of, (0.5,), "n must be an int, got 0.5"),
+        (parse_coloring_spec("parity").color_of, (True,), "n must be an int, got True"),
+        (ResidueColoring(3, (0, 1, 2)).color_of, (4.0,), "n must be an int, got 4.0"),
+        (CosetColoring(7, 2).color_of, (2.5,), "n must be an int, got 2.5"),
+        (factorize, (12, -5), "bound must be >= 2, got -5"),
+        (factorize, (12, 10.0), "bound must be an int, got 10.0"),
+        (prime_table, (10.0,), "limit must be an int, got 10.0"),
+        (prime_table, (True,), "limit must be an int, got True"),
+        (find_mono_triangle, (True, lambda i, j: 0), "vertex_count must be an int, got True"),
+        (find_mono_triangle, (3.0, lambda i, j: 0), "vertex_count must be an int, got 3.0"),
     ],
 )
 def test_power_run_and_modulus_must_be_ints(call, args, message):
