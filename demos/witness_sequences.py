@@ -30,8 +30,8 @@ def main():
         y = interval_sum(seq, j, k) if k <= 6 else None
         print(f"  sum({i}..{j - 1}) = {x} divides sum({j}..{k - 1}) = {y}: {y % x == 0}")
 
-    report = check_divisibility_lemma(seq, 6)
-    print(f"\nAll {report.triples_checked} index triples up to 6: "
+    report = check_divisibility_lemma(seq)
+    print(f"\nAll {report.triples_checked} index triples up to {report.limit}: "
           f"{len(report.violations)} violations")
 
     print("\nThe sixth term is a factorial of a 30-digit number:")
@@ -48,7 +48,7 @@ def main():
     prod = generate(PRODUCT, 6)
     for idx, term in enumerate(prod.terms, 1):
         print(f"  b({idx}) = {term}")
-    report = check_divisibility_lemma(prod, 7)
+    report = check_divisibility_lemma(prod)
     print(f"Same chain, far slower growth: {report.triples_checked} triples, "
           f"{len(report.violations)} violations")
 

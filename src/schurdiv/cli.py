@@ -117,7 +117,7 @@ def _cmd_seq(args) -> dict:
     seq = generate(args.kind, args.count, args.budget_digits)
     violations = []
     if args.check_divisibility:
-        report = check_divisibility_lemma(seq, len(seq.terms) + 1)
+        report = check_divisibility_lemma(seq)
         violations = [{"i": v.i, "j": v.j, "k": v.k} for v in report.violations]
     return {
         "kind": seq.kind,

@@ -27,7 +27,7 @@ __all__ = [
 # Witnesses making Miller-Rabin deterministic for n < 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-DEFAULT_FACTOR_BOUND = 10**6
+FACTOR_BOUND = 10**6
 
 
 class FactorizationBudgetError(ValueError):
@@ -103,19 +103,18 @@ def smallest_prime_factors() -> tuple[int, ...]:
     return tuple(spf)
 
 
-def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> list[tuple[int, int]]:
+def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as (prime, exponent) pairs, ascending.
 
-    Trial division only goes up to `bound`; a leftover cofactor is accepted
+    Trial division goes up to FACTOR_BOUND; a leftover cofactor is accepted
     when it is provably prime, otherwise FactorizationBudgetError is raised.
     """
     _check_int("n", n, 1)
-    _check_int("bound", bound, 2)
     out: list[tuple[int, int]] = []
     rest = n
     # Primes up to isqrt(n) decide the factorization; a power-of-two table
     # size keeps the cached table sizes few.
-    for p in prime_table(min(bound, 1 << isqrt(n).bit_length())):
+    for p in prime_table(min(FACTOR_BOUND, 1 << isqrt(n).bit_length())):
         if p * p > rest:
             break
         if rest % p == 0:
@@ -125,11 +124,11 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> list[tuple[int, int]
                 e += 1
             out.append((p, e))
     if rest > 1:
-        # No factor <= bound remains, so a cofactor below bound^2 is prime.
-        if rest <= bound * bound or is_prime(rest):
+        # No factor <= FACTOR_BOUND remains, so a cofactor below its square is prime.
+        if rest <= FACTOR_BOUND * FACTOR_BOUND or is_prime(rest):
             out.append((rest, 1))
         else:
             raise FactorizationBudgetError(
-                f"cofactor {rest} of {n} has no prime factor <= {bound} and is composite"
+                f"cofactor {rest} of {n} has no prime factor <= {FACTOR_BOUND} and is composite"
             )
     return out

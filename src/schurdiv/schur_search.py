@@ -40,7 +40,8 @@ Optional multi-process search splits the tree into cubes, the subtrees
 below each viable coloring of 1..SPLIT_DEPTH.  A worker starts a cube
 from the members, bans and node count the prefix enumeration recorded;
 counted in walk order, a threaded search reports the single-process
-witness and nodes.  `schur_number` keeps one process pool for all n, at
+witness and nodes.  Cube 0 runs in the caller; the pool gets cubes 1..
+only if it refutes.  `schur_number` keeps one process pool for all n, at
 most one worker per CPU.  A search with a node or wall-clock budget runs
 in one process, where the budget is polled exactly.
 `concurrent.futures` is imported by `_process_pool` on the first
@@ -324,14 +325,21 @@ def _exists(l, n, restricted, max_nodes, max_seconds, pool):
 
 
 def _exists_parallel(l: int, n: int, restricted: bool, pool) -> tuple[list[int] | None, int]:
-    """Search each cube in a pool worker from its recorded state.  The
-    one-process walk visits the prefix nodes up to cube i's leaf, then cube
-    i: so a witness or a cut (the recursion limit) in cube i counts `at` of
-    that leaf plus cubes 0..i, a refutation the whole enumeration plus all
-    cubes.  Returning closes `results`, which cancels the pending cubes."""
+    """Search each cube from its recorded state: cube 0 here, then, once it
+    refutes, cubes 1.. in pool workers.  The one-process walk visits the
+    prefix nodes up to cube i's leaf, then cube i: so a witness or a cut
+    (the recursion limit) in cube i counts `at` of that leaf plus cubes
+    0..i, a refutation the whole enumeration plus all cubes.  Returning
+    closes `results`, which cancels the pending cubes."""
     base = _Searcher(l, n, restricted)
     cubes = base.collect_prefixes(SPLIT_DEPTH)
-    results = pool.map(_cube_worker, [(l, n, restricted, members, banned) for members, banned, _ in cubes])
+    work = [(l, n, restricted, members, banned) for members, banned, _ in cubes]
+
+    def run_cubes():
+        yield _cube_worker(work[0])
+        yield from pool.map(_cube_worker, work[1:])
+
+    results = run_cubes()
     nodes = 0  # the nodes of the cubes before cube i
     try:
         for _, _, at in cubes:

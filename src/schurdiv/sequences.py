@@ -190,17 +190,9 @@ class LemmaReport(NamedTuple):
         return not self.violations
 
 
-def check_divisibility_lemma(seq: WitnessSequence, limit: int) -> LemmaReport:
-    """Check sum(i..j-1) | sum(j..k-1) for all index triples i < j < k <= limit.
-
-    The sums only read terms below index `limit`, so `limit` may exceed the
-    term count by one: a sequence of N terms supports index triples drawn
-    from {1..N+1}.
-    """
-    _check_int("limit", limit)
-    n = len(seq.terms)
-    if not (1 <= limit <= n + 1):
-        raise IndexError(f"limit must be in 1..{n + 1}, got {limit}")
+def check_divisibility_lemma(seq: WitnessSequence) -> LemmaReport:
+    """Check sum(i..j-1) | sum(j..k-1) for all i < j < k <= N+1, N the term count."""
+    limit = len(seq.terms) + 1
     prefix = seq.prefix_sums
     violations = []
     checked = 0

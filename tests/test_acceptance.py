@@ -39,7 +39,7 @@ def report(criterion: str, passed: bool, detail: str = "") -> None:
 def test_criterion_1_divisibility_lemma():
     seq = generate(FACTORIAL, 5)  # index triples from {1..6} read terms 1..5
     start = time.perf_counter()
-    rep = check_divisibility_lemma(seq, 6)
+    rep = check_divisibility_lemma(seq)
     elapsed = time.perf_counter() - start
     ok = rep.triples_checked == 20 and rep.violations == () and elapsed < 1.0
     report(

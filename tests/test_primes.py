@@ -61,16 +61,19 @@ def test_factorize_recombines(n):
 
 def test_factorize_budget():
     p, q = 1000003, 1000033
-    assert is_prime(p) and is_prime(q)
-    # prime cofactor above the bound is fine, composite cofactor is not
-    assert factorize(4 * p, bound=1000) == [(2, 2), (p, 1)]
-    with pytest.raises(FactorizationBudgetError):
-        factorize(p * q, bound=1000)
+    big = 10**12 + 39
+    assert is_prime(p) and is_prime(q) and is_prime(big)
+    # A cofactor at most FACTOR_BOUND**2 is prime; a larger one must pass is_prime.
+    assert factorize(2 * p) == [(2, 1), (p, 1)]
+    assert factorize(2 * big) == [(2, 1), (big, 1)]
+    with pytest.raises(FactorizationBudgetError, match=f"cofactor {p * q} of {p * q} has no prime factor <= 1000000"):
+        factorize(p * q)
 
 
-def reference_factorize(n, bound):
-    """Trial division by every integer up to `bound`, with the same budget
-    rule for the leftover cofactor; None where a budget error is due."""
+def reference_factorize(n):
+    """Trial division by every integer up to FACTOR_BOUND, with the same
+    budget rule for the leftover cofactor; None where a budget error is due."""
+    bound = primes.FACTOR_BOUND
     out, rest, d = [], n, 2
     while d <= bound and d * d <= rest:
         e = 0
@@ -92,15 +95,14 @@ def reference_factorize(n, bound):
 EDGE_N = [8191**2, 8191 * 8209, 65521**2, 65537**2, 65521 * 65537, 2**31 - 1, 4 * 65537**2]
 
 
-@pytest.mark.parametrize("bound", [10**6, 100, 7, 2])
-def test_factorize_matches_reference(bound):
+def test_factorize_matches_reference():
     for n in list(range(1, 3001)) + EDGE_N:
-        expected = reference_factorize(n, bound)
+        expected = reference_factorize(n)
         if expected is None:
             with pytest.raises(FactorizationBudgetError):
-                factorize(n, bound)
+                factorize(n)
         else:
-            assert factorize(n, bound) == expected, (n, bound)
+            assert factorize(n) == expected, n
 
 
 def test_factorize_sizes_its_table_to_n(monkeypatch):
@@ -118,7 +120,7 @@ def test_factorize_sizes_its_table_to_n(monkeypatch):
         assert limits and max(limits) <= 2 * isqrt(n) + 1, (n, limits)
     limits.clear()
     factorize(2**61 - 1)
-    assert limits == [primes.DEFAULT_FACTOR_BOUND]
+    assert limits == [primes.FACTOR_BOUND]
 
 
 def test_smallest_prime_factors_match_factorize():

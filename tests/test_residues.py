@@ -16,7 +16,7 @@ from schurdiv.residues import (
     summarize_reports,
 )
 from schurdiv.schur_search import exists_valid_coloring, forbidden_triples, schur_number
-from schurdiv.sequences import check_divisibility_lemma, generate, interval_sum, interval_sum_mod
+from schurdiv.sequences import generate, interval_sum, interval_sum_mod, kempner
 
 
 def brute_residue_set(p, k):
@@ -227,7 +227,7 @@ class TestScan:
         (interval_sum_mod, (1, 3.0, 7), "j must be an int, got 3.0"),
         (interval_sum, (generate("factorial", 4), 1.0, 3), "i must be an int, got 1.0"),
         (interval_sum, (generate("factorial", 4), 1, 3.0), "j must be an int, got 3.0"),
-        (check_divisibility_lemma, (generate("factorial", 4), 4.0), "limit must be an int, got 4.0"),
+        (kempner, (7.0,), "modulus must be an int, got 7.0"),
         (evaluate, (UnityFunction(2), 6.0), "n must be an int, got 6.0"),
         (min_consecutive_ones, (UnityFunction(2), 10.0), "search_bound must be an int, got 10.0"),
         (verify_consecutive_ones_bound, (UnityFunction(2), 5.0), "restricted_schur_bound must be an int, got 5.0"),
@@ -243,8 +243,8 @@ class TestScan:
         (parse_coloring_spec("parity").color_of, (True,), "n must be an int, got True"),
         (ResidueColoring(3, (0, 1, 2)).color_of, (4.0,), "n must be an int, got 4.0"),
         (CosetColoring(7, 2).color_of, (2.5,), "n must be an int, got 2.5"),
-        (factorize, (12, -5), "bound must be >= 2, got -5"),
-        (factorize, (12, 10.0), "bound must be an int, got 10.0"),
+        (factorize, (12.0,), "n must be an int, got 12.0"),
+        (factorize, (True,), "n must be an int, got True"),
         (prime_table, (10.0,), "limit must be an int, got 10.0"),
         (prime_table, (True,), "limit must be an int, got True"),
         (find_mono_triangle, (True, lambda i, j: 0), "vertex_count must be an int, got True"),

@@ -203,6 +203,37 @@ class TestParallelNodes:
         # A witnessed n counts the prefix nodes up to its cube's leaf only.
         assert (seq.stats.nodes, par.stats.nodes) == (397, 397)
 
+    @pytest.fixture
+    def mapped(self, monkeypatch):
+        """The n of each pool.map call: cube 0 runs in the caller, so only an
+        n that cube 0 refutes reaches the pool."""
+        calls = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def map(self, fn, work, **kwargs):
+                calls.append({args[1] for args in work})
+                return super().map(fn, work, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        return calls
+
+    @pytest.mark.parametrize("l,restricted,max_n,nodes", [(4, False, 43, 20_112), (3, True, 111, 6_812)])
+    def test_witness_in_cube_0_starts_no_worker(self, mapped, l, restricted, max_n, nodes):
+        seq = schur_number(l, restricted, max_n=max_n)
+        par = schur_number(l, restricted, max_n=max_n, threads=2)
+        assert mapped == []
+        assert (par.W, par.witness_coloring, par.stats.nodes) == (seq.W, seq.witness_coloring, seq.stats.nodes)
+        assert (par.W, par.stats.nodes) == (max_n, nodes)
+
+    def test_only_a_refuted_cube_0_reaches_the_pool(self, mapped):
+        par = schur_number(4, max_n=44, threads=2)
+        assert mapped == [{44}]
+        assert (par.W, par.stats.nodes) == (44, 1_095_044)
+
+    def test_no_cubes_is_a_refutation(self):
+        assert exists_valid_coloring(1, 9, threads=2) is None
+
 
 class TestTwinReuse:
     """A restricted case where the kernel reuses the node count of a

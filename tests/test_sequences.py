@@ -110,14 +110,9 @@ class TestIntervalSum:
 
 
 class TestDivisibilityLemma:
-    def test_factorial_limit_5(self):
-        report = check_divisibility_lemma(generate(FACTORIAL, 5), 5)
-        assert report.triples_checked == 10
-        assert report.ok
-
     def test_factorial_limit_6_on_five_terms(self):
         # index triples from {1..6} only read the five materializable terms
-        report = check_divisibility_lemma(generate(FACTORIAL, 5), 6)
+        report = check_divisibility_lemma(generate(FACTORIAL, 5))
         assert report.triples_checked == 20
         assert report.violations == ()
 
@@ -126,25 +121,25 @@ class TestDivisibilityLemma:
         assert interval_sum(seq, 3, 5) % interval_sum(seq, 1, 3) == 0
 
     def test_product_limit_5(self):
-        report = check_divisibility_lemma(generate(PRODUCT, 5), 5)
+        report = check_divisibility_lemma(generate(PRODUCT, 5))
         assert report.ok
 
     def test_product_limit_7(self):
-        report = check_divisibility_lemma(generate(PRODUCT, 6), 7)
+        report = check_divisibility_lemma(generate(PRODUCT, 6))
         assert report.triples_checked == 35
         assert report.ok
 
     def test_violations_are_reported_not_raised(self):
         bad = WitnessSequence(kind=PRODUCT, terms=(1, 1, 1), prefix_sums=(0, 1, 2, 3))
-        report = check_divisibility_lemma(bad, 4)
+        report = check_divisibility_lemma(bad)
         assert not report.ok
         v = report.violations[0]
         assert (v.i, v.j, v.k, v.x, v.y) == (1, 3, 4, 2, 1)
 
-    def test_limit_out_of_range(self):
-        seq = generate(FACTORIAL, 4)
-        with pytest.raises(IndexError):
-            check_divisibility_lemma(seq, 6)
+    def test_checks_every_triple_up_to_one_past_the_terms(self):
+        for kind, count in ((FACTORIAL, 1), (FACTORIAL, 4), (PRODUCT, 3), (PRODUCT, 6)):
+            report = check_divisibility_lemma(generate(kind, count))
+            assert (report.limit, report.triples_checked) == (count + 1, math.comb(count + 1, 3))
 
 
 class TestKempner:
