@@ -17,7 +17,9 @@ makes them total on all positive integers.  They tell cosets apart by a
 power character evaluated per query, so they build no table of size p.
 
 A one-line spec grammar mirrors all of this for the command line
-(`parse_coloring_spec`, and `schur-div witness --coloring SPEC`):
+(`parse_coloring_spec`, and `schur-div witness --coloring SPEC`).  It only
+converts text; each rule checks its own values, and an error in them is a
+ColoringSpecError with the rule's message, at the rule's first argument:
 
     parity
         two colors by parity: color 0 for even, 1 for odd.
@@ -182,12 +184,19 @@ def _spec_int(spec: str, token: str, position: int, what: str) -> int:
         raise ColoringSpecError(spec, position, f"expected an integer {what}, got {token!r}") from None
 
 
+def _rule(spec: str, position: int, make, *args):
+    """make(*args), its ValueError reported as a ColoringSpecError at `position`."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ColoringSpecError(spec, position, str(exc)) from None
+
+
 def parse_prime_exponents(text: str, spec: str | None = None, position: int = 0) -> dict[int, int]:
-    """Parse `p1=e1,p2=e2,...` (possibly empty) into {prime: exponent}.
-    `text` starts at `position` of `spec` (default: text itself), which
-    errors report as a ColoringSpecError."""
-    if spec is None:
-        spec = text
+    """Parse `p1=e1,p2=e2,...` (possibly empty) into {p: exponent}; only the
+    text is judged, primality is UnityFunction's.  `text` starts at `position`
+    of `spec` (default: text itself), which errors report as a ColoringSpecError."""
+    spec = text if spec is None else spec
     exponents: dict[int, int] = {}
     if not text:
         return exponents
@@ -197,8 +206,6 @@ def parse_prime_exponents(text: str, spec: str | None = None, position: int = 0)
             raise ColoringSpecError(spec, position, f"expected p=e, got {pair!r}")
         p = _spec_int(spec, p_token, position, "prime")
         e = _spec_int(spec, e_token, position + len(p_token) + 1, "exponent")
-        if not is_prime(p):
-            raise ColoringSpecError(spec, position, f"{p} is not prime")
         if p in exponents:
             raise ColoringSpecError(spec, position, f"prime {p} assigned twice")
         exponents[p] = e
@@ -207,7 +214,8 @@ def parse_prime_exponents(text: str, spec: str | None = None, position: int = 0)
 
 
 def parse_coloring_spec(spec: str) -> Coloring:
-    """Parse the one-line coloring grammar (see module docstring)."""
+    """Parse the one-line coloring grammar (see module docstring): text only;
+    the rule's own ValueError becomes a ColoringSpecError at its arguments."""
     if spec == "parity":
         return ResidueColoring(2, (0, 1))
     head, _, rest = spec.partition(":")
@@ -217,27 +225,17 @@ def parse_coloring_spec(spec: str) -> Coloring:
         if not sep:
             raise ColoringSpecError(spec, body_pos, "expected mod:M:c0,...,c(M-1)")
         m = _spec_int(spec, mod_token, body_pos, "modulus")
-        if m < 1:
-            raise ColoringSpecError(spec, body_pos, "modulus must be >= 1")
         colors_pos = body_pos + len(mod_token) + 1
         entries = colors_token.split(",") if colors_token else []
-        if len(entries) != m:
-            raise ColoringSpecError(spec, colors_pos, f"expected {m} colors, got {len(entries)}")
         class_map = [_spec_int(spec, e, colors_pos, "color") for e in entries]
-        if min(class_map) < 0:
-            raise ColoringSpecError(spec, colors_pos, "colors must be >= 0")
-        return ResidueColoring(m, class_map)
+        return _rule(spec, body_pos, ResidueColoring, m, class_map)
     if head == "coset":
         p_token, sep, k_token = rest.partition(":")
         if not sep:
             raise ColoringSpecError(spec, body_pos, "expected coset:P:K")
         p = _spec_int(spec, p_token, body_pos, "prime")
         k = _spec_int(spec, k_token, body_pos + len(p_token) + 1, "exponent")
-        if not is_prime(p):
-            raise ColoringSpecError(spec, body_pos, f"{p} is not prime")
-        if k < 1:
-            raise ColoringSpecError(spec, body_pos + len(p_token) + 1, "exponent must be >= 1")
-        return CosetColoring(p, k)
+        return _rule(spec, body_pos, CosetColoring, p, k)
     if head == "explicit":
         path = rest
         if not path:
@@ -249,20 +247,14 @@ def parse_coloring_spec(spec: str) -> Coloring:
             raise ColoringSpecError(spec, body_pos, f"cannot read {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ColoringSpecError(spec, body_pos, f"bad JSON in {path}: {exc}") from None
-        if not isinstance(table, list) or not all(type(c) is int for c in table):
-            raise ColoringSpecError(spec, body_pos, f"{path} must hold a JSON array of integers")
-        if not table:
-            raise ColoringSpecError(spec, body_pos, f"{path} holds an empty array")
-        if min(table) < 0:
-            raise ColoringSpecError(spec, body_pos, "colors must be >= 0")
-        return ExplicitColoring(table)
+        if not isinstance(table, list):  # tuple() fails on 5 and splits "01" or {"1": 0}
+            raise ColoringSpecError(spec, body_pos, f"{path} must hold a JSON array")
+        return _rule(spec, body_pos, ExplicitColoring, table)
     if head == "unity":
         parts = rest.split(":")
         if len(parts) not in (2, 3):
             raise ColoringSpecError(spec, body_pos, "expected unity:K:p=e,...[:default=e]")
         k = _spec_int(spec, parts[0], body_pos, "root order")
-        if k < 1:
-            raise ColoringSpecError(spec, body_pos, "root order must be >= 1")
         assigns_pos = body_pos + len(parts[0]) + 1
         exponents = parse_prime_exponents(parts[1], spec, assigns_pos)
         default = 0
@@ -272,7 +264,7 @@ def parse_coloring_spec(spec: str) -> Coloring:
             if key != "default" or not sep:
                 raise ColoringSpecError(spec, default_pos, f"expected default=e, got {parts[2]!r}")
             default = _spec_int(spec, val, default_pos + len(key) + 1, "default exponent")
-        return UnityColoring(UnityFunction(k, exponents, default))
+        return UnityColoring(_rule(spec, body_pos, UnityFunction, k, exponents, default))
     raise ColoringSpecError(
         spec, 0, "expected one of parity | mod:... | coset:... | explicit:... | unity:..."
     )

@@ -64,8 +64,7 @@ class UnityFunction(_UnityFields):
 
 
 def evaluate(f: UnityFunction, n: int) -> int:
-    """Exponent of f(n) in {0..k-1}; f(1) is exponent 0."""
-    _check_int("n", n, 1)
+    """Exponent of f(n) in {0..k-1}; f(1) is exponent 0.  `factorize` checks n."""
     return sum(e * f.exponent_of(p) for p, e in factorize(n)) % f.k
 
 

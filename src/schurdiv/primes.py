@@ -107,7 +107,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as (prime, exponent) pairs, ascending.
 
     Trial division goes up to FACTOR_BOUND; a leftover cofactor is accepted
-    when it is provably prime, otherwise FactorizationBudgetError is raised.
+    when `is_prime` says so (a proof below 3.3e24; above it, as for 27! + 1,
+    a strong probable prime to the 12 bases), else FactorizationBudgetError.
     """
     _check_int("n", n, 1)
     out: list[tuple[int, int]] = []

@@ -170,12 +170,11 @@ def consecutive_pair_via_triple(p: int, k: int, bound: int) -> ConsecutivePair |
     dividing a monochromatic divisible triple of the coset coloring by its
     smallest element.  None when {1..bound} holds no such triple (bound too
     small for the coset count); that outcome is reported, not raised."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    coloring = CosetColoring(p, k)  # checks p and k
     _check_int("bound", bound, 1)
     if p <= bound:
         raise ValueError(f"need p > bound, got p={p}, bound={bound}")
-    witness = direct_schur_div_search(CosetColoring(p, k), bound)
+    witness = direct_schur_div_search(coloring, bound)
     if witness is None:
         return None
     y_prime = witness.y // witness.x

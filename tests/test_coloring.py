@@ -255,11 +255,11 @@ class TestSpecGrammar:
         "spec,position",
         [
             ("bogus:1", 0),
-            ("mod:3:0,1", 6),
+            ("mod:3:0,1", 4),
             ("mod:x:0", 4),
             ("coset:15:2", 6),
             ("coset:7", 6),
-            ("unity:2:4=1", 8),
+            ("unity:2:4=1", 6),
             ("unity:2:2=1,2=0", 12),
             ("unity:2:2=1:fallback=1", 12),
             ("mod:0:", 4),
@@ -282,7 +282,6 @@ class TestSpecGrammar:
             ("2", 0, "expected p=e"),
             ("2=1,x=1", 4, "integer prime"),
             ("2=1,3=x", 6, "integer exponent"),
-            ("9=1", 0, "9 is not prime"),
             ("2=1,3=1,2=0", 8, "prime 2 assigned twice"),
         ],
     )
@@ -297,17 +296,43 @@ class TestSpecGrammar:
     def test_explicit_rejects_booleans(self, tmp_path):
         path = tmp_path / "colors.json"
         path.write_text(json.dumps([True, False, True, 2]))
-        with pytest.raises(ColoringSpecError, match="JSON array of integers"):
+        with pytest.raises(ColoringSpecError, match="entries must be integers >= 0") as info:
             parse_coloring_spec(f"explicit:{path}")
+        assert info.value.position == 9
 
-    @pytest.mark.parametrize("table,message", [([], "empty array"), ([0, -1, 2], "colors must be >= 0")],
-                             ids=["empty", "negative"])
+    @pytest.mark.parametrize(
+        "table,message",
+        [([], "must be non-empty"), ([0, -1, 2], "entries must be integers >= 0"), (5, "must hold a JSON array"),
+         (None, "must hold a JSON array"), ("01", "must hold a JSON array"), ({"1": 0}, "must hold a JSON array")],
+        ids=["empty", "negative", "number", "null", "string", "object"],
+    )
     def test_explicit_rejects_bad_tables(self, tmp_path, table, message):
         path = tmp_path / "colors.json"
         path.write_text(json.dumps(table))
         with pytest.raises(ColoringSpecError, match=message) as info:
             parse_coloring_spec(f"explicit:{path}")
         assert info.value.position == 9
+
+    @pytest.mark.parametrize(
+        "spec,position,message",
+        [
+            ("mod:3:0,1", 4, "class map must have 3 entries, got 2"),
+            ("mod:2:0,-1", 4, "class map entries must be integers >= 0"),
+            ("mod:0:", 4, "modulus must be >= 1, got 0"),
+            ("coset:15:2", 6, "coset coloring needs a prime modulus, got 15"),
+            ("coset:7:0", 6, "power must be >= 1, got 0"),
+            ("unity:0:", 6, "k must be >= 1, got 0"),
+            ("unity:2:2=1,9=1", 6, "exponent assigned to non-prime 9"),
+        ],
+    )
+    def test_rule_checks_reach_the_grammar(self, spec, position, message):
+        with pytest.raises(ColoringSpecError) as info:
+            parse_coloring_spec(spec)
+        assert info.value.position == position
+        assert str(info.value).endswith(f"position {position}: {message}")
+
+    def test_prime_exponents_leave_primality_to_the_rule(self):
+        assert parse_prime_exponents("9=1") == {9: 1}
 
     def test_explicit_missing_file(self, tmp_path):
         with pytest.raises(ColoringSpecError):

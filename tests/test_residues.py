@@ -307,3 +307,7 @@ class TestConsecutivePair:
             consecutive_pair_via_triple(15, 2, 9)
         with pytest.raises(ValueError):
             consecutive_pair_via_triple(11, 2, 11)
+
+    def test_non_prime_modulus_is_refused_by_the_coset_coloring(self):
+        with pytest.raises(ValueError, match="prime modulus, got 15"):
+            consecutive_pair_via_triple(15, 2, 9)
