@@ -34,7 +34,7 @@ import json
 import sys
 
 from . import __version__
-from .coloring import ColoringSpecError, parse_coloring_spec, parse_prime_exponents
+from .coloring import parse_coloring_spec, parse_prime_exponents
 from .multiplicative import UnityFunction, min_consecutive_ones, verify_consecutive_ones_bound
 # is_prime stays a module attribute, unused here: bench/trace_cli.py wraps it.
 from .primes import FactorizationBudgetError, is_prime  # noqa: F401
@@ -200,11 +200,11 @@ def _cmd_residues(args) -> None:
 
 
 def _cmd_mult(args) -> dict:
-    try:
-        exponents = parse_prime_exponents(args.primes)
-    except ColoringSpecError as exc:
+    func = UnityFunction(args.k, default_exponent=args.default_exp)
+    try:  # k and the default exponent have passed: what fails here is --primes
+        func = func._replace(prime_exponents=parse_prime_exponents(args.primes))
+    except ValueError as exc:
         raise ValueError(f"--primes: {exc}") from exc
-    func = UnityFunction(args.k, exponents, args.default_exp)
     minimal = min_consecutive_ones(func, args.bound)
     fields = {"k": args.k, "minimal_a": minimal, "search_bound": args.bound, "witness": None}
     if args.verify_s_prime is not None:
