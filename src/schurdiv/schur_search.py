@@ -26,9 +26,9 @@ past n), so no twin is refuted.  `nodes` counts the plain walk, so a
 timed restricted run can report over 10^10.  Prefix recording turns
 this off.
 
-Symmetry breaking: integer 1 always takes color 0, and a new color index
-may only be used once all smaller indices appear.  The first witness
-found under this fixed branching order is deterministic.
+Symmetry breaking: integer 1 always takes color 0, and color c > 0 is
+tried only once color c - 1 holds an integer.  The first witness found
+under this fixed branching order is deterministic.
 
 W(l) is the largest n admitting a valid coloring and S(l) = W(l) + 1 the
 least n forcing a monochromatic triple; `schur_number` reports exact
@@ -142,21 +142,20 @@ def validate_coloring(colors: Sequence[int], restricted: bool) -> list[Forbidden
 class _Searcher:
     """One depth-first search over colorings of {1..n} with l colors.
 
-    The walk `_walk(l)` made for l colors holds the only assign step, for
-    used and new colors alike.  It searches to `depth`, stopping at the
-    first leaf, whose members it leaves in `members`, or recording each
-    leaf's state while `prefixes` is a list; `resume` searches on from such
-    a state.  `levels[v]` is (pairs[v], 1 << v).  Budgets are polled only
+    Its state is the members and bans of each color, len(members) of
+    them.  `run()` continues from it with the walk `_walk(l)`, the only
+    assign step, to `depth`: it stops at the first leaf, whose members it
+    leaves in `members`, or records each leaf's state while `prefixes` is
+    a list.  `levels[v]` is (pairs[v], 1 << v).  Budgets are polled only
     at node count `poll_at`, reached by a node or a reused twin subtree:
-    the deadline is read there if it is a multiple of 2048, then the node
-    limit raises at max_nodes + 1."""
+    the `deadline`, a perf_counter reading, is read there if it is a
+    multiple of 2048, then the node limit raises at max_nodes + 1."""
 
-    __slots__ = ("l", "n", "members", "banned", "levels", "nodes", "depth", "prefixes", "max_nodes",
+    __slots__ = ("n", "members", "banned", "levels", "nodes", "depth", "prefixes", "max_nodes",
                  "deadline", "poll_at")
 
     def __init__(self, l: int, n: int, restricted: bool, max_nodes: int | None = None,
-                 max_seconds: float | None = None):
-        self.l = l
+                 deadline: float | None = None):
         self.n = n
         # pairs[y]: bit x for each forbidden (x, y, x + y); x <= y, so bans land above y.
         pairs = [0] * (n + 1)
@@ -169,7 +168,7 @@ class _Searcher:
         self.depth = n
         self.prefixes = None
         self.max_nodes = max_nodes
-        self.deadline = None if max_seconds is None else time.perf_counter() + max_seconds
+        self.deadline = deadline
         self.poll_at = 1
 
     def _poll(self, nodes: int) -> None:
@@ -208,19 +207,19 @@ class _Searcher:
         """The state at each viable coloring of 1..depth, in walk order:
         `members` and `banned` as lists, and `nodes` on reaching it."""
         self.depth, self.prefixes = depth, []
-        self.run(1, -1)
+        self.run()
         prefixes, self.depth, self.prefixes = self.prefixes, self.n, None
         return prefixes
 
     def resume(self, members: list[int], banned: list[int]) -> list[int] | None:
-        """Search on from a state `collect_prefixes` recorded: its depth is
-        its highest member, and max_used its highest color with a member."""
+        """Load a state `collect_prefixes` recorded and search on from it."""
         self.members, self.banned = members, banned
-        return self.run(max(members).bit_length(), max(c for c, m in enumerate(members) if m))
+        return self.run()
 
-    def run(self, start_v: int, max_used: int) -> list[int] | None:
+    def run(self) -> list[int] | None:
         try:
-            found = _walk(self.l)(self, start_v, max_used, *self.members, *self.banned)
+            found = _walk(len(self.members))(self, max(self.members).bit_length() or 1,
+                                             *self.members, *self.banned)
         except RecursionError:  # one frame per integer: a search too deep stops as if cut by a budget
             raise BudgetExhausted(self.nodes) from None
         return self.coloring() if found else None
@@ -230,13 +229,13 @@ class _Searcher:
 def _walk(l: int):
     """The search walk for l colors, compiled from source built from the
     integer l alone, as `collections.namedtuple` builds its methods.
-    walk(s, v, max_used, m0..m{l-1}, b0..b{l-1}) colors v onwards for the
-    _Searcher s.  Color c is tried iff max_used >= c - 1 and v is not in
-    b_c; its new bans `hits` land above v, where no integer was fully
+    walk(s, v, m0..m{l-1}, b0..b{l-1}) colors v onwards for the _Searcher
+    s.  Color c is tried iff v is not in b_c and, for c > 0, m_{c-1} is
+    not 0; its new bans `hits` land above v, where no integer was fully
     banned, so it is dead iff `hits & b_d & ...` over every other d is not 0."""
     ms = [f"m{c}" for c in range(l)]
     bs = [f"b{c}" for c in range(l)]
-    source = f"""def walk(s, v, max_used, {', '.join(ms + bs)}):
+    source = f"""def walk(s, v, {', '.join(ms + bs)}):
     if v > s.depth:
         if s.prefixes is None:
             s.members = [{', '.join(ms)}]
@@ -248,7 +247,7 @@ def _walk(l: int):
 """
     for c in range(l):
         child = ", ".join(ms[:c] + ["m"] + ms[c + 1:] + bs[:c] + [f"b{c} | hits"] + bs[c + 1:])
-        source += f"""    if max_used >= {c - 1} and not b{c} & bit:
+        source += f"""    if {f'm{c - 1} and ' if c else ''}not b{c} & bit:
         nodes = s.nodes + 1
         s.nodes = nodes
         if nodes >= s.poll_at:
@@ -257,7 +256,7 @@ def _walk(l: int):
         hits = (m & pairs_v) << v
         if hits or twin is None:
             if not {' & '.join(['hits'] + bs[:c] + bs[c + 1:])}:
-                if walk(s, v + 1, {c} if max_used < {c} else max_used, {child}):
+                if walk(s, v + 1, {child}):
                     return True
                 if not hits and s.prefixes is None:  # a recorded leaf refutes nothing
                     twin = s.nodes - nodes
@@ -288,8 +287,9 @@ def exists_valid_coloring(
     once the whole tree is exhausted.  Raises BudgetExhausted if a budget
     or the recursion limit cuts the search before either outcome."""
     _check_problem(l, "n", n, max_nodes, max_seconds, threads)
+    deadline = None if max_seconds is None else time.perf_counter() + max_seconds
     with _process_pool(threads) as pool:
-        return _exists(l, n, restricted, max_nodes, max_seconds, pool)[0]
+        return _exists(l, n, restricted, max_nodes, deadline, pool)[0]
 
 
 def _check_problem(l: int, n_name: str, n: int | None, max_nodes: int | None, max_seconds: float | None,
@@ -314,14 +314,14 @@ def _process_pool(threads: int):
     return ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1))
 
 
-def _exists(l, n, restricted, max_nodes, max_seconds, pool):
+def _exists(l, n, restricted, max_nodes, deadline, pool):
     """The first witness, or None on refutation, and the nodes searched.
     With a process pool, an unbudgeted n above SPLIT_DEPTH is split into
     cubes; a budgeted search runs here, where the budget is polled exactly."""
-    if pool is not None and n > SPLIT_DEPTH and max_nodes is None and max_seconds is None:
+    if pool is not None and n > SPLIT_DEPTH and max_nodes is None and deadline is None:
         return _exists_parallel(l, n, restricted, pool)
-    searcher = _Searcher(l, n, restricted, max_nodes, max_seconds)
-    return searcher.run(1, -1), searcher.nodes
+    searcher = _Searcher(l, n, restricted, max_nodes, deadline)
+    return searcher.run(), searcher.nodes
 
 
 def _exists_parallel(l: int, n: int, restricted: bool, pool) -> tuple[list[int] | None, int]:
@@ -381,12 +381,12 @@ def schur_number(
     cache_path: str | None = None,
 ) -> SearchResult:
     """Largest W with a valid coloring of {1..W}; exact S = W + 1 only when
-    {1..W+1} was refuted.  Budgets or max_n produce status="lower_bound".
+    {1..W+1} was refuted.  A budget cut, or max_n reached before a refutation, gives "lower_bound".
 
-    With a cache path, the search resumes from the largest witness and the
-    least refutation cached for (l, restricted), once every
-    witness of that key revalidates (else CacheError).  It then leaves just
-    those two, cached or new, as the key's entries: a witness for {1..n}
+    With a cache path, the search resumes from the largest witness and the least refutation
+    cached for (l, restricted), once every witness of that key revalidates (else CacheError):
+    max_n bounds the n searched, not that evidence, so W and an exact S may lie above it.  It
+    then leaves just those two, cached or new, as the key's entries: a witness for {1..n}
     covers every smaller n, a refutation of n every larger one.
     """
     _check_problem(l, "max_n", max_n, max_nodes, max_seconds, threads)
@@ -407,12 +407,9 @@ def schur_number(
                 break
             if max_n is not None and n > max_n:
                 break
-            remaining = None if deadline is None else max(0.0, deadline - time.perf_counter())
             node_room = None if max_nodes is None else max_nodes - nodes_total
-            if node_room is not None and node_room <= 0:
-                break
             try:
-                found, nodes = _exists(l, n, restricted, node_room, remaining, pool)
+                found, nodes = _exists(l, n, restricted, node_room, deadline, pool)
                 nodes_total += nodes
             except BudgetExhausted as exc:
                 nodes_total += exc.nodes

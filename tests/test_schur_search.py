@@ -188,6 +188,12 @@ class TestSchurNumber:
         if result.witness_coloring:
             assert validate_coloring(result.witness_coloring, restricted=True) == []
 
+    def test_node_budget_spent_at_an_n_boundary_reports_one_past(self):
+        # 10 nodes decide n = 1..4; the searcher for n = 5, left no node room, refuses its first node.
+        for max_nodes, W in ((10, 4), (0, 0)):
+            result = schur_number(3, max_nodes=max_nodes)
+            assert (result.status, result.W, result.stats.nodes) == ("lower_bound", W, max_nodes + 1)
+
     def test_max_n_gives_lower_bound(self):
         result = schur_number(2, max_n=3)
         assert (result.status, result.W) == ("lower_bound", 3)
@@ -406,6 +412,16 @@ class TestCacheEvidence:
         path = _write_cache(tmp_path / "c.json", (2, 4, self.W4, "valid"), (2, refuted_n, None, "refuted"))
         with pytest.raises(CacheError, match=f"entry 1 .*n={refuted_n}, refuted.*witness at n=4"):
             schur_number(2, cache_path=path)
+
+    def test_max_n_bounds_the_search_not_the_cached_evidence(self, tmp_path, capsys):
+        path = str(tmp_path / "c.json")
+        assert schur_number(3, cache_path=path).S == 14
+        assert main(["schur", "--colors", "3", "--max-n", "5", "--cache", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["status"], report["W"], report["S"], report["nodes"]) == ("exact", 13, 14, 0)
+        witness_only = _write_cache(tmp_path / "w.json", (3, 13, report["witness_coloring"], "valid"))
+        result = schur_number(3, max_n=5, cache_path=witness_only)
+        assert (result.status, result.W, result.S, result.stats.nodes) == ("lower_bound", 13, None, 0)
 
     def test_other_color_counts_are_not_checked_against(self, tmp_path):
         path = _write_cache(tmp_path / "c.json", (2, 4, self.W4, "valid"), (1, 2, None, "refuted"))

@@ -11,11 +11,12 @@ The oracle also searches x + y = z with x < y, but the kernel only
 x <= y, the one problem schurdiv searches: its twin rule relies on every
 v <= n/2 being its own partner.  So every case passes the oracle
 allow_equal = True.  Five colors run under budgets only, and so do six
-and seven, which the sweep never reaches: the kernel's walk is generated
-per color count, so each count is code of its own.  A new color
-bans 2v at most, and no pair of integers below v bans 2v, so below the
-split depth its death test fires only with one color: the l = 1 cases
-guard it.
+and seven, which the sweep reaches only through resumed cubes: the
+kernel's walk is generated per color count, so each count is code of
+its own, and a color opens only once the color before it holds an
+integer.  A new color bans 2v at most, and no pair of integers below v
+bans 2v, so below the split depth its death test fires only with one
+color: the l = 1 cases guard it.
 """
 
 import concurrent.futures
@@ -36,6 +37,8 @@ from schurdiv.schur_search import BudgetExhausted, exists_valid_coloring, schur_
 
 # (l, restricted, allow_equal): allow_equal is the oracle's, always True.
 VARIANTS = [(l, restricted, True) for l in range(1, 6) for restricted in (False, True)]
+# Six and seven colors resume cubes whose states hold several unopened colors.
+UNSWEPT = [(l, restricted, True) for l in (6, 7) for restricted in (False, True)]
 
 SPLIT_DEPTHS = (1, 3, 5, 8)
 
@@ -55,7 +58,9 @@ def _new(l, n, restricted, max_nodes=None):
 
 
 def _outcome(searcher):
-    return _result(searcher, lambda: searcher.run(1, -1))
+    # The oracle's run still takes its start: integer 1, with no color used yet.
+    start = (1, -1) if isinstance(searcher, oracle_search._Searcher) else ()
+    return _result(searcher, lambda: searcher.run(*start))
 
 
 def _result(searcher, search):
@@ -90,7 +95,7 @@ def test_collect_prefixes_match_oracle(l, restricted, allow_equal):
             assert [_colors(members) for members, _, _ in cubes] == want, (n, depth)
 
 
-@pytest.mark.parametrize("l,restricted,allow_equal", VARIANTS)
+@pytest.mark.parametrize("l,restricted,allow_equal", VARIANTS + UNSWEPT)
 def test_seeded_subtrees_match_oracle(l, restricted, allow_equal):
     for n in (6, 13, 24):
         for d in range(1, 5):
@@ -164,7 +169,7 @@ class TestBudgetPoll:
 class TestParallelNodes:
     def test_refutation_counts_every_node(self, monkeypatch):
         seq = _new(3, 14, False)
-        assert seq.run(1, -1) is None
+        assert seq.run() is None
         with ProcessPoolExecutor(max_workers=2) as pool:
             for depth in (3, 5):
                 monkeypatch.setattr(schur_search, "SPLIT_DEPTH", depth)
@@ -176,7 +181,7 @@ class TestParallelNodes:
         with ProcessPoolExecutor(max_workers=2) as pool:
             first = schur_search._exists_parallel(3, 13, False, pool)
             again = schur_search._exists_parallel(3, 13, False, pool)
-        assert first == again == (seq.run(1, -1), seq.nodes)
+        assert first == again == (seq.run(), seq.nodes)
 
     def test_schur_number_reports_worker_nodes(self, monkeypatch):
         seq = schur_number(3)
@@ -266,7 +271,7 @@ class TestTwinReuse:
         sys.setprofile(profile)
         try:
             with suppress(BudgetExhausted):
-                searcher.run(1, -1)
+                searcher.run()
         finally:
             sys.setprofile(None)
         assert 0 < calls < searcher.nodes / 10
@@ -286,7 +291,8 @@ class TestTwinReuse:
         assert info.value.nodes % 2048 == 0
 
     def _at(self, nodes, max_nodes=None, max_seconds=None):
-        searcher = schur_search._Searcher(3, 112, True, max_nodes, max_seconds)
+        deadline = None if max_seconds is None else time.perf_counter() + max_seconds
+        searcher = schur_search._Searcher(3, 112, True, max_nodes, deadline)
         searcher.nodes = nodes
         searcher._poll(nodes)
         return searcher
