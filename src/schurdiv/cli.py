@@ -210,8 +210,6 @@ def _cmd_mult(args) -> dict:
     if args.verify_s_prime is not None:
         record = verify_consecutive_ones_bound(func, args.verify_s_prime)
         fields["witness"] = {"x": record.x, "y": record.y, "z": record.z, "a": record.a}
-        if minimal is None:
-            fields["minimal_a"] = record.min_a
     return fields
 
 

@@ -60,11 +60,10 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import time
 from contextlib import nullcontext, suppress
 from functools import lru_cache
-from math import isfinite, isqrt
+from math import inf, isfinite, isqrt
 from typing import Iterator, NamedTuple, Sequence
 
 from .primes import _check_int
@@ -146,10 +145,12 @@ class _Searcher:
     them.  `run()` continues from it with the walk `_walk(l)`, the only
     assign step, to `depth`: it stops at the first leaf, whose members it
     leaves in `members`, or records each leaf's state while `prefixes` is
-    a list.  `levels[v]` is (pairs[v], 1 << v).  Budgets are polled only
-    at node count `poll_at`, reached by a node or a reused twin subtree:
-    the `deadline`, a perf_counter reading, is read there if it is a
-    multiple of 2048, then the node limit raises at max_nodes + 1."""
+    a list.  `levels[v]` is (pairs[v], 1 << v).  A node and a reused
+    twin subtree take one step: add to `nodes`, then poll once it reaches
+    `poll_at`, the next multiple of 2048 or max_nodes + 1.  Every search,
+    budgeted or not, polls there: the `deadline`, a perf_counter reading,
+    is read at a multiple of 2048, then the node limit raises at
+    max_nodes + 1.  A limit left None is inf."""
 
     __slots__ = ("n", "members", "banned", "levels", "nodes", "depth", "prefixes", "max_nodes",
                  "deadline", "poll_at")
@@ -167,31 +168,19 @@ class _Searcher:
         self.nodes = 0
         self.depth = n
         self.prefixes = None
-        self.max_nodes = max_nodes
-        self.deadline = deadline
+        self.max_nodes = inf if max_nodes is None else max_nodes
+        self.deadline = inf if deadline is None else deadline
         self.poll_at = 1
 
     def _poll(self, nodes: int) -> None:
         """Called once the count reaches `poll_at`, by one node or a reused subtree."""
-        if self.deadline is not None and self.poll_at % 2048 == 0 and time.perf_counter() > self.deadline:
+        if self.poll_at % 2048 == 0 and time.perf_counter() > self.deadline:
             self.nodes = self.poll_at
             raise BudgetExhausted(self.nodes)
-        at = sys.maxsize
-        if self.max_nodes is not None:
-            if nodes > self.max_nodes:
-                self.nodes = self.max_nodes + 1
-                raise BudgetExhausted(self.nodes)
-            at = self.max_nodes + 1
-        if self.deadline is not None:
-            at = min(at, (nodes // 2048 + 1) * 2048)
-        self.poll_at = at
-
-    def _reuse(self, count: int) -> None:
-        """Count a refuted twin subtree in one step, polled like a single node."""
-        nodes = self.nodes + count
-        if nodes >= self.poll_at:
-            self._poll(nodes)
-        self.nodes = nodes
+        if nodes > self.max_nodes:
+            self.nodes = self.max_nodes + 1
+            raise BudgetExhausted(self.nodes)
+        self.poll_at = min(self.max_nodes + 1, (nodes // 2048 + 1) * 2048)
 
     def coloring(self) -> list[int]:
         """Colors of the integers assigned so far, from 1 upwards."""
@@ -261,7 +250,10 @@ def _walk(l: int):
                 if not hits and s.prefixes is None:  # a recorded leaf refutes nothing
                     twin = s.nodes - nodes
         else:  # a twin: the first one's refutation counts for the rest
-            s._reuse(twin)
+            nodes += twin
+            s.nodes = nodes
+            if nodes >= s.poll_at:
+                s._poll(nodes)
 """
     namespace = {}
     exec(compile(source + "    return False\n", f"<schur walk, {l} colors>", "exec"), namespace)
@@ -398,15 +390,9 @@ def schur_number(
     cache = None if cache_path is None else load_search_cache(cache_path)
     W, witness, refuted_at = (0, [], None) if cache is None else _cache_best(cache, cache_path, key)
 
-    status = "lower_bound"
     n = W + 1
     with _process_pool(threads) as pool:
-        while True:
-            if refuted_at is not None and n >= refuted_at:
-                status = "exact"
-                break
-            if max_n is not None and n > max_n:
-                break
+        while n != refuted_at and (max_n is None or n <= max_n):
             node_room = None if max_nodes is None else max_nodes - nodes_total
             try:
                 found, nodes = _exists(l, n, restricted, node_room, deadline, pool)
@@ -415,10 +401,10 @@ def schur_number(
                 nodes_total += exc.nodes
                 break
             if found is None:
-                status, refuted_at = "exact", n
-                break
-            W, witness = n, found
-            n += 1
+                refuted_at = n
+            else:
+                W, witness, n = n, found, n + 1
+    status = "exact" if refuted_at == W + 1 else "lower_bound"
 
     if cache is not None:
         _merge_into_cache(cache_path, key, W, witness, refuted_at)

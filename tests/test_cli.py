@@ -466,6 +466,15 @@ class TestMult:
         assert report["witness"] == {"x": 1, "y": 9, "z": 10, "a": 9}
         assert report["minimal_a"] == 9
 
+    def test_minimal_a_stays_within_the_search_bound(self, capsys):
+        # The first pair, a = 9, lies past --bound 5: only the verification finds it.
+        report = run_json(
+            capsys, "mult", "--k", "2", "--default-exp", "1",
+            "--bound", "5", "--verify-s-prime", "12",
+        )
+        assert (report["minimal_a"], report["search_bound"]) == (None, 5)
+        assert report["witness"] == {"x": 1, "y": 9, "z": 10, "a": 9}
+
     def test_prime_assignments(self, capsys):
         report = run_json(capsys, "mult", "--k", "2", "--primes", "2=1", "--bound", "10")
         assert report["minimal_a"] == 3

@@ -165,6 +165,22 @@ class TestBudgetPoll:
         result = schur_number(4, max_seconds=0)
         assert (result.status, result.W, result.stats.nodes) == ("lower_bound", 39, 7642)
 
+    def test_unbudgeted_search_polls_every_2048_nodes(self, monkeypatch):
+        # Without a budget there is nothing to cut, but the poll points stay:
+        # node 1, then each multiple of 2048 the count reaches.
+        poll, polled = schur_search._Searcher._poll, []
+
+        def record(searcher, nodes):
+            polled.append(searcher.poll_at)
+            poll(searcher, nodes)
+
+        monkeypatch.setattr(schur_search._Searcher, "_poll", record)
+        searcher = _new(4, 44, False)
+        assert searcher.run() is not None
+        assert searcher.nodes == 1_074_932
+        assert len(polled) == 525
+        assert polled[0] == 1 and all(at % 2048 == 0 for at in polled[1:])
+
 
 class TestParallelNodes:
     def test_refutation_counts_every_node(self, monkeypatch):
@@ -297,21 +313,29 @@ class TestTwinReuse:
         searcher._poll(nodes)
         return searcher
 
+    @staticmethod
+    def _step(searcher, count):
+        # The walk's count step, taken by a node (count 1) and a reused twin subtree alike.
+        nodes = searcher.nodes + count
+        searcher.nodes = nodes
+        if nodes >= searcher.poll_at:
+            searcher._poll(nodes)
+
     def test_reuse_step_passing_the_node_limit(self):
         searcher = self._at(5, max_nodes=10)
-        searcher._reuse(5)
+        self._step(searcher, 5)
         assert searcher.nodes == 10
         with pytest.raises(BudgetExhausted) as info:
-            searcher._reuse(100)
+            self._step(searcher, 100)
         assert info.value.nodes == searcher.nodes == 11
 
     def test_reuse_step_reads_the_clock_at_its_first_multiple_of_2048(self):
         searcher = self._at(100, max_seconds=0)
         with pytest.raises(BudgetExhausted) as info:
-            searcher._reuse(10**6)
+            self._step(searcher, 10**6)
         assert info.value.nodes == searcher.nodes == 2048
         searcher = self._at(100, max_seconds=60)
-        searcher._reuse(10**6)
+        self._step(searcher, 10**6)
         assert (searcher.nodes, searcher.poll_at) == (10**6 + 100, 489 * 2048)
 
     @pytest.mark.parametrize("max_seconds, cut", [(0, 2048), (60, 5001)])
@@ -320,5 +344,5 @@ class TestTwinReuse:
         # deadline stops at the multiple, a live one at max_nodes + 1.
         searcher = self._at(100, max_nodes=5000, max_seconds=max_seconds)
         with pytest.raises(BudgetExhausted) as info:
-            searcher._reuse(10**6)
+            self._step(searcher, 10**6)
         assert info.value.nodes == searcher.nodes == cut
