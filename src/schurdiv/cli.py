@@ -34,11 +34,16 @@ import json
 import sys
 
 from . import __version__
-from .coloring import parse_coloring_spec, parse_prime_exponents
-from .multiplicative import UnityFunction, min_consecutive_ones, verify_consecutive_ones_bound
+from .coloring import ColoringSpecError, parse_coloring_spec, parse_prime_exponents
+from .multiplicative import UnityFunction, min_consecutive_ones
 # is_prime stays a module attribute, unused here: bench/trace_cli.py wraps it.
 from .primes import FactorizationBudgetError, is_prime  # noqa: F401
-from .ramsey import direct_schur_div_search, r3_value_or_bound, witness_via_ramsey
+from .ramsey import (
+    direct_schur_div_search,
+    r3_value_or_bound,
+    verify_consecutive_ones_bound,
+    witness_via_ramsey,
+)
 from .residues import scan_primes, summarize_reports
 from .schur_search import schur_number
 from .sequences import (
@@ -203,6 +208,8 @@ def _cmd_mult(args) -> dict:
     func = UnityFunction(args.k, default_exponent=args.default_exp)
     try:  # k and the default exponent have passed: what fails here is --primes
         func = func._replace(prime_exponents=parse_prime_exponents(args.primes))
+    except ColoringSpecError as exc:  # the spec is the flag's own text: name only the position
+        raise ValueError(f"--primes: position {exc.position}: {exc.message}") from exc
     except ValueError as exc:
         raise ValueError(f"--primes: {exc}") from exc
     minimal = min_consecutive_ones(func, args.bound)

@@ -62,11 +62,12 @@ class OutOfDomainError(ValueError):
 
 
 class ColoringSpecError(ValueError):
-    """Malformed coloring spec string; carries the offending position."""
+    """Malformed coloring spec string; carries the spec, the offending position and bare `message`."""
 
     def __init__(self, spec: str, position: int, message: str):
         self.spec = spec
         self.position = position
+        self.message = message
         super().__init__(f"coloring spec {spec!r}, position {position}: {message}")
 
 

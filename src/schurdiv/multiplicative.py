@@ -6,13 +6,6 @@ exponent sum over the prime factorization of n.  Values are always
 handled as exponents, never as floating-point complex numbers, so
 f(a) = 1 reads as exponent 0.  `min_consecutive_ones` walks f(r) = f(q) +
 f(r/q) over `primes.smallest_prime_factors`, factorizing only past it.
-
-Any such function partitions the positive integers into at most k color
-classes.  Every k-coloring of {1..B} contains a monochromatic triple
-x + y = z with x | y once B reaches the restricted Schur number for k
-colors, and dividing that triple by x produces consecutive integers
-a = y/x and a+1 = z/x on which the function is 1.  That pipeline is what
-`verify_consecutive_ones_bound` runs and cross-checks.
 """
 
 from __future__ import annotations
@@ -23,11 +16,9 @@ from typing import Mapping, NamedTuple
 from .primes import _check_int, factorize, is_prime, smallest_prime_factors
 
 __all__ = [
-    "ConsecutiveOnesWitness",
     "UnityFunction",
     "evaluate",
     "min_consecutive_ones",
-    "verify_consecutive_ones_bound",
 ]
 
 
@@ -86,49 +77,3 @@ def min_consecutive_ones(f: UnityFunction, search_bound: int) -> int | None:
         prev = cur
     return None
 
-
-class ConsecutiveOnesWitness(NamedTuple):
-    x: int
-    y: int
-    z: int
-    a: int
-    min_a: int
-    bound: int
-    color: int
-
-
-def verify_consecutive_ones_bound(f: UnityFunction, restricted_schur_bound: int) -> ConsecutiveOnesWitness:
-    """Run the coloring pipeline and return a <= bound with f(a) = f(a+1) = 1.
-
-    `restricted_schur_bound` must be an exact restricted Schur number for
-    f.k colors; the monochromatic triple search below is then guaranteed
-    to succeed, and its failure is loudly fatal rather than a value.
-    """
-    from .coloring import UnityColoring
-    from .ramsey import direct_schur_div_search
-
-    _check_int("restricted_schur_bound", restricted_schur_bound, 1)
-    witness = direct_schur_div_search(UnityColoring(f), restricted_schur_bound)
-    if witness is None:
-        raise RuntimeError(
-            f"no monochromatic divisible triple in 1..{restricted_schur_bound} under a "
-            f"{f.k}-class coloring; the claimed restricted Schur bound is wrong (or the "
-            f"partition guarantee itself failed, which should be impossible)"
-        )
-    a = witness.y // witness.x
-    if evaluate(f, a) != 0 or evaluate(f, a + 1) != 0:
-        raise RuntimeError(f"pipeline produced a={a} but f is not 1 at a and a+1")
-    if a > restricted_schur_bound:
-        raise RuntimeError(f"pipeline produced a={a} above the bound {restricted_schur_bound}")
-    min_a = min_consecutive_ones(f, restricted_schur_bound)
-    if min_a is None or min_a > a:
-        raise RuntimeError(f"direct scan disagrees with pipeline witness a={a}: min={min_a}")
-    return ConsecutiveOnesWitness(
-        x=witness.x,
-        y=witness.y,
-        z=witness.z,
-        a=a,
-        min_a=min_a,
-        bound=restricted_schur_bound,
-        color=witness.color,
-    )

@@ -19,6 +19,16 @@ and as (i, j) span descriptors otherwise.
 `direct_schur_div_search` is the second, independent route: scan triples
 (x, a*x, (a+1)*x) directly under the coloring in increasing z then x,
 as `schur_search._triples` yields them, coloring z before x and y.
+
+Dividing a direct-route triple by x leaves a = y/x, the witness's
+`quotient`, and a + 1 = z/x, both at most the search bound.  When the
+color classes are cosets of a multiplicative kernel, x, a*x and (a+1)*x
+sharing a class puts a and a + 1 in the kernel itself.  Two pipelines take
+that step: `consecutive_pair_via_triple` colors by cosets of the k-th
+powers mod a prime p > bound, so a and a + 1 are k-th power residues, and
+`verify_consecutive_ones_bound` colors by a unity function f up to an
+exact restricted Schur number, so f(a) = f(a+1) = 1, and cross-checks a
+against `min_consecutive_ones`.
 """
 
 from __future__ import annotations
@@ -27,8 +37,10 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, NamedTuple
 
-from .coloring import Coloring, OutOfDomainError
+from .coloring import Coloring, CosetColoring, OutOfDomainError, UnityColoring
+from .multiplicative import UnityFunction, evaluate, min_consecutive_ones
 from .primes import FactorizationBudgetError, _check_int
+from .residues import is_kth_residue
 from .schur_search import _triples
 from .sequences import (
     _EXACT_FACTORIAL_TERMS,
@@ -40,12 +52,16 @@ from .sequences import (
 )
 
 __all__ = [
+    "ConsecutiveOnesWitness",
+    "ConsecutivePair",
     "MonoTriangle",
     "R3Info",
     "SchurWitness",
+    "consecutive_pair_via_triple",
     "direct_schur_div_search",
     "find_mono_triangle",
     "r3_value_or_bound",
+    "verify_consecutive_ones_bound",
     "witness_via_ramsey",
 ]
 
@@ -183,3 +199,67 @@ def direct_schur_div_search(coloring: Coloring, n_max: int) -> SchurWitness | No
         if color(x) == c and color(y) == c:
             return SchurWitness(x=x, y=y, z=z, color=c, quotient=y // x, via="direct-search")
     return None
+
+
+class ConsecutivePair(NamedTuple):
+    y_prime: int
+    z_prime: int
+    witness: SchurWitness
+
+
+def consecutive_pair_via_triple(p: int, k: int, bound: int) -> ConsecutivePair | None:
+    """Consecutive k-th power residues y', z' = y'+1 <= bound, obtained by
+    dividing a monochromatic divisible triple of the coset coloring by its
+    smallest element.  None when {1..bound} holds no such triple (bound too
+    small for the coset count); that outcome is reported, not raised."""
+    coloring = CosetColoring(p, k)  # checks p and k
+    _check_int("bound", bound, 1)
+    if p <= bound:
+        raise ValueError(f"need p > bound, got p={p}, bound={bound}")
+    witness = direct_schur_div_search(coloring, bound)
+    if witness is None:
+        return None
+    a = witness.quotient
+    if witness.z != witness.x * (a + 1):
+        raise AssertionError(f"triple {witness} does not divide into a consecutive pair")
+    for value in (a, a + 1):
+        if not is_kth_residue(value, p, k):
+            raise AssertionError(f"{value} fails the residue test mod {p}")
+    return ConsecutivePair(y_prime=a, z_prime=a + 1, witness=witness)
+
+
+class ConsecutiveOnesWitness(NamedTuple):
+    x: int
+    y: int
+    z: int
+    a: int
+    min_a: int
+    bound: int
+    color: int
+
+
+def verify_consecutive_ones_bound(f: UnityFunction, restricted_schur_bound: int) -> ConsecutiveOnesWitness:
+    """Run the coloring pipeline and return a <= bound with f(a) = f(a+1) = 1.
+
+    `restricted_schur_bound` must be an exact restricted Schur number for
+    f.k colors; the monochromatic triple search below is then guaranteed
+    to succeed, and its failure is loudly fatal rather than a value.
+    """
+    _check_int("restricted_schur_bound", restricted_schur_bound, 1)
+    witness = direct_schur_div_search(UnityColoring(f), restricted_schur_bound)
+    if witness is None:
+        raise RuntimeError(
+            f"no monochromatic divisible triple in 1..{restricted_schur_bound} under a "
+            f"{f.k}-class coloring; the claimed restricted Schur bound is wrong (or the "
+            f"partition guarantee itself failed, which should be impossible)"
+        )
+    a = witness.quotient
+    if evaluate(f, a) != 0 or evaluate(f, a + 1) != 0:
+        raise RuntimeError(f"pipeline produced a={a} but f is not 1 at a and a+1")
+    if a > restricted_schur_bound:
+        raise RuntimeError(f"pipeline produced a={a} above the bound {restricted_schur_bound}")
+    min_a = min_consecutive_ones(f, restricted_schur_bound)
+    if min_a is None or min_a > a:
+        raise RuntimeError(f"direct scan disagrees with pipeline witness a={a}: min={min_a}")
+    return ConsecutiveOnesWitness(x=witness.x, y=witness.y, z=witness.z, a=a, min_a=min_a,
+                                  bound=restricted_schur_bound, color=witness.color)

@@ -24,12 +24,6 @@ another in this process or across the pool of
 `schur_search._process_pool`, which imports `concurrent.futures` only
 for threads > 1, so importing this module loads no multiprocessing
 machinery.
-
-`consecutive_pair_via_triple` is the constructive route to a consecutive
-residue pair: color {1..bound} by cosets of the k-th powers, find a
-monochromatic x + y = z with x | y, and divide by x.  Then y' = y/x and
-z' = z/x = y' + 1 are both honest integers at most `bound` and both
-k-th power residues.
 """
 
 from __future__ import annotations
@@ -37,15 +31,11 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .coloring import CosetColoring
 from .primes import _check_int, is_prime, primes_in_range, smallest_prime_factors
-from .ramsey import SchurWitness, direct_schur_div_search
 from .schur_search import _process_pool
 
 __all__ = [
-    "ConsecutivePair",
     "LambdaEstimate",
-    "consecutive_pair_via_triple",
     "exceptional_primes",
     "is_kth_residue",
     "residue_run_start",
@@ -158,30 +148,3 @@ def exceptional_primes(k: int, m: int, p_max: int) -> list[int]:
     """Primes p <= p_max admitting no run of m consecutive k-th power residues."""
     return [p for p, r in scan_primes(k, m, 2, p_max) if r is None]
 
-
-class ConsecutivePair(NamedTuple):
-    y_prime: int
-    z_prime: int
-    witness: SchurWitness
-
-
-def consecutive_pair_via_triple(p: int, k: int, bound: int) -> ConsecutivePair | None:
-    """Consecutive k-th power residues y', z' = y'+1 <= bound, obtained by
-    dividing a monochromatic divisible triple of the coset coloring by its
-    smallest element.  None when {1..bound} holds no such triple (bound too
-    small for the coset count); that outcome is reported, not raised."""
-    coloring = CosetColoring(p, k)  # checks p and k
-    _check_int("bound", bound, 1)
-    if p <= bound:
-        raise ValueError(f"need p > bound, got p={p}, bound={bound}")
-    witness = direct_schur_div_search(coloring, bound)
-    if witness is None:
-        return None
-    y_prime = witness.y // witness.x
-    z_prime = witness.z // witness.x
-    if z_prime != y_prime + 1:
-        raise AssertionError(f"triple {witness} does not divide into a consecutive pair")
-    for value in (y_prime, z_prime):
-        if not is_kth_residue(value, p, k):
-            raise AssertionError(f"{value} fails the residue test mod {p}")
-    return ConsecutivePair(y_prime=y_prime, z_prime=z_prime, witness=witness)

@@ -23,7 +23,7 @@ Factorial terms stop being materializable at index 6 (the sixth term is a
 factorial of a 30-digit number).  `interval_sum_mod` therefore evaluates
 block sums modulo any m >= 1 directly (every sum is 0 mod 1): a factorial
 t! vanishes mod m as soon as t reaches the least integer whose factorial
-m divides (computed per prime power via Legendre's valuation formula),
+m divides (per prime power, by adding up the valuations of p, 2p, 3p, ...),
 and only the first five terms ever fall below that threshold for any
 representable modulus.
 """
@@ -211,32 +211,21 @@ _EXACT_FACTORIAL_TERMS = (1, 1, 2, 24, math.factorial(28))
 _EXACT_FACTORIAL_PREFIX = (0, 1, 2, 4, 28, 28 + math.factorial(28))
 
 
-def _legendre_valuation(t: int, p: int) -> int:
-    """Exponent of p in t!."""
-    v = 0
-    q = p
-    while q <= t:
-        v += t // q
-        q *= p
-    return v
-
-
 @lru_cache(maxsize=4096)
 def kempner(m: int) -> int:
-    """Least t >= 1 with m | t!."""
+    """Least t >= 1 with m | t!: for each p^e in m, the multiple t of p at which
+    the p-valuations of p, 2p, ..., t first add up to e; the largest such t."""
     _check_int("modulus", m, 1)
-    if m == 1:
-        return 1
     best = 1
     for p, e in factorize(m):
-        lo, hi = 1, e * p  # valuation of (e*p)! in p is >= e
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _legendre_valuation(mid, p) >= e:
-                hi = mid
-            else:
-                lo = mid + 1
-        best = max(best, lo)
+        t = 0
+        while e > 0:
+            t += p
+            q = t
+            while q % p == 0:
+                q //= p
+                e -= 1
+        best = max(best, t)
     return best
 
 

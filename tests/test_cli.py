@@ -495,6 +495,11 @@ class TestMult:
             assert code == 2
             assert err.startswith(f"schur-div: --primes: exponent assigned to non-prime {prime}")
 
+    def test_primes_spec_error_names_the_flag_not_a_coloring_spec(self, capsys):
+        code, out, err = run(capsys, "mult", "--k", "2", "--primes", "2=1,2=1")
+        assert (code, out) == (2, "")
+        assert err == "schur-div: --primes: position 4: prime 2 assigned twice\n"
+
     @pytest.mark.parametrize("primes", ["2", "2=x", "x=1", "2=1,2=0", "2=1,,3=1", "1=1"])
     def test_malformed_primes_usage_error(self, capsys, primes):
         code, out, err = run(capsys, "mult", "--k", "2", "--primes", primes)

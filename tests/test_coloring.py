@@ -265,6 +265,10 @@ class TestSpecGrammar:
             ("mod:0:", 4),
             ("mod:-2:", 4),
             ("mod:0:0", 4),
+            ("mod:3", 4),
+            ("explicit:", 9),
+            ("unity:2", 6),
+            ("unity:2:3=1:default=1:x", 6),
         ],
     )
     def test_errors_carry_positions(self, spec, position):
@@ -333,6 +337,13 @@ class TestSpecGrammar:
 
     def test_prime_exponents_leave_primality_to_the_rule(self):
         assert parse_prime_exponents("9=1") == {9: 1}
+
+    def test_explicit_bad_json(self, tmp_path):
+        path = tmp_path / "colors.json"
+        path.write_text("[0, 1")
+        with pytest.raises(ColoringSpecError, match="bad JSON in") as info:
+            parse_coloring_spec(f"explicit:{path}")
+        assert info.value.position == 9
 
     def test_explicit_missing_file(self, tmp_path):
         with pytest.raises(ColoringSpecError):

@@ -7,9 +7,9 @@ from schurdiv.multiplicative import (
     UnityFunction,
     evaluate,
     min_consecutive_ones,
-    verify_consecutive_ones_bound,
 )
 from schurdiv.primes import FactorizationBudgetError, smallest_prime_factors
+from schurdiv.ramsey import verify_consecutive_ones_bound
 
 
 def brute_exponent(f, n):

@@ -4,11 +4,16 @@ import pytest
 
 from schurdiv import residues as residues_module
 from schurdiv.coloring import CosetColoring, ExplicitColoring, ResidueColoring, UnityColoring, parse_coloring_spec
-from schurdiv.multiplicative import UnityFunction, evaluate, min_consecutive_ones, verify_consecutive_ones_bound
+from schurdiv.multiplicative import UnityFunction, evaluate, min_consecutive_ones
 from schurdiv.primes import factorize, is_prime, prime_table, primes_in_range, smallest_prime_factors
-from schurdiv.ramsey import direct_schur_div_search, find_mono_triangle, r3_value_or_bound
-from schurdiv.residues import (
+from schurdiv.ramsey import (
     consecutive_pair_via_triple,
+    direct_schur_div_search,
+    find_mono_triangle,
+    r3_value_or_bound,
+    verify_consecutive_ones_bound,
+)
+from schurdiv.residues import (
     exceptional_primes,
     is_kth_residue,
     residue_run_start,

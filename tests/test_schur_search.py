@@ -690,6 +690,8 @@ class TestMalformedCache:
         ('"cache"', "is not a JSON object"),
         ("", "is not valid JSON"),
         ('{"version": 1, "entries": [', "is not valid JSON"),
+        ('{"version": 1}', "is missing its entries list"),
+        ('{"version": 1, "entries": {}}', "is missing its entries list"),
     ])
     def test_file_not_an_object(self, tmp_path, capsys, text, fault):
         path = tmp_path / "c.json"

@@ -157,6 +157,11 @@ class TestKempner:
         for p in (2, 3, 5, 7, 97, 9973):
             assert kempner(p) == p
 
+    def test_exponent_past_the_prime_and_unequal_factors(self):
+        assert kempner(2**100) == 104
+        assert kempner(5**30) == 125
+        assert kempner(2**10 * 1_000_003) == 1_000_003
+
     @pytest.mark.parametrize("bad", [2.0, True, 0])
     def test_bad_modulus_is_refused(self, bad):
         # kempner(2.0) used to raise TypeError from isqrt, and kempner(True) returned 1.
