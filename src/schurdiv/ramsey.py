@@ -43,7 +43,7 @@ from .primes import FactorizationBudgetError, _check_int
 from .residues import is_kth_residue
 from .schur_search import _triples
 from .sequences import (
-    _EXACT_FACTORIAL_TERMS,
+    _EXACT_FACTORIAL,
     FACTORIAL,
     EvaluationInfeasibleError,
     generate,
@@ -67,9 +67,6 @@ __all__ = [
 
 # Known triangle Ramsey numbers R(3,...,3) by color count.
 _R3_EXACT = {1: 3, 2: 6, 3: 17}
-
-# Terms of the factorial witness sequence that fit in memory.
-_MATERIALIZABLE_TERMS = len(_EXACT_FACTORIAL_TERMS)
 
 
 class R3Info(NamedTuple):
@@ -141,15 +138,14 @@ def _edge_color_function(coloring: Coloring) -> Callable[[int, int], int]:
     m = coloring.modulus
     if m is not None:  # m is the least positive member of the class 0 mod m
         return lambda i, j: coloring.color_of(interval_sum_mod(i, j, m) or m)
-    seq = generate(FACTORIAL, _MATERIALIZABLE_TERMS)
 
     def color(i: int, j: int) -> int:
-        if j - 1 > _MATERIALIZABLE_TERMS:
+        if j - 1 > len(_EXACT_FACTORIAL):
             raise EvaluationInfeasibleError(
                 f"coloring rule {type(coloring).__name__} cannot evaluate the block sum of "
                 f"edge ({i}, {j}): it needs term {j - 1}; only modular rules reach that deep"
             )
-        value = interval_sum(seq, i, j)
+        value = interval_sum(_EXACT_FACTORIAL, i, j)
         try:
             return coloring.color_of(value)
         except (OutOfDomainError, FactorizationBudgetError) as exc:
@@ -173,7 +169,7 @@ def witness_via_ramsey(coloring: Coloring) -> SchurWitness:
         raise AssertionError(f"no monochromatic triangle on {info.vertices} vertices")
     i, j, k = tri.i, tri.j, tri.k
     x = y = z = quotient = None
-    if k - 1 <= _MATERIALIZABLE_TERMS:
+    if k - 1 <= len(_EXACT_FACTORIAL):
         seq = generate(FACTORIAL, k - 1)
         x, y, z = interval_sum(seq, i, j), interval_sum(seq, j, k), interval_sum(seq, i, k)
         if x + y != z or y % x:

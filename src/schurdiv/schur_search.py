@@ -423,10 +423,12 @@ def schur_number(
 # --- persistent cache -------------------------------------------------------
 
 def load_search_cache(path: str) -> dict:
-    """Versioned JSON cache; a missing file is an empty cache.  A file that
-    is not a JSON object of the right version raises ValueError, an entry
-    that is not an object CacheError."""
+    """Versioned JSON cache; a missing file is an empty cache, a missing
+    directory an OSError.  A file that is not a JSON object of the right
+    version raises ValueError, an entry that is not an object CacheError."""
     if not os.path.exists(path):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"cache {path}: its directory does not exist")
         return {"version": CACHE_VERSION, "entries": []}
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -22,10 +22,10 @@ chain survives, while terms grow far slower than the factorial kind.
 Factorial terms stop being materializable at index 6 (the sixth term is a
 factorial of a 30-digit number).  `interval_sum_mod` therefore evaluates
 block sums modulo any m >= 1 directly (every sum is 0 mod 1): a factorial
-t! vanishes mod m as soon as t reaches the least integer whose factorial
-m divides (per prime power, by adding up the valuations of p, 2p, 3p, ...),
-and only the first five terms ever fall below that threshold for any
-representable modulus.
+t! vanishes mod m once t reaches kempner(m), the least integer whose
+factorial m divides.  Terms from the sixth on are factorials of at least
+t = 28 + 28!, so they vanish mod every m <= t and mod any larger m with
+kempner(m) <= t; other moduli fail at the first block past the fifth term.
 """
 
 from __future__ import annotations
@@ -58,25 +58,25 @@ PRODUCT = "product"
 
 DEFAULT_DIGIT_BUDGET = 10**6
 
-# math.factorial refuses arguments past this even under a raised budget;
-# the result would not be materializable in reasonable time or memory.
-_FACTORIAL_ARG_CAP = 10**6
+# No term is built past this many digits, whatever the budget: product
+# term 12 (about 3.4e7 digits) already takes minutes.
+_MAX_TERM_DIGITS = 10**8
 
 _LOG10_2 = math.log10(2)
 
 
 class SequenceBudgetError(ValueError):
-    """A term would overflow the digit budget (or is plain infeasible)."""
+    """A term would overflow the digit budget, or pass _MAX_TERM_DIGITS alone."""
 
-    def __init__(self, kind: str, term_index: int, estimated_digits: float, budget: int):
+    def __init__(self, kind: str, term_index: int, estimated_digits: float, budget: int,
+                 over_budget: bool = True):
         self.kind = kind
         self.term_index = term_index
         self.estimated_digits = estimated_digits
         self.budget = budget
-        super().__init__(
-            f"{kind} term {term_index} needs about {estimated_digits:.3g} decimal digits; "
-            f"budget is {budget} total digits"
-        )
+        limit = f"budget is {budget} total" if over_budget else f"no term may pass {_MAX_TERM_DIGITS}"
+        super().__init__(f"{kind} term {term_index} needs about {estimated_digits:.3g} decimal digits; "
+                         f"{limit} digits")
 
 
 class EvaluationInfeasibleError(ValueError):
@@ -109,56 +109,28 @@ def generate(kind: str, count: int, size_budget: int = DEFAULT_DIGIT_BUDGET) -> 
     """Build the first `count` terms of the chosen witness sequence.
 
     Raises SequenceBudgetError naming the first term whose size estimate
-    exceeds `size_budget` total decimal digits across all terms.
+    exceeds `size_budget` total decimal digits across all terms, or
+    _MAX_TERM_DIGITS on its own.
     """
     _check_int("count", count, 1)
     _check_int("size_budget", size_budget, 1)
-    if kind == FACTORIAL:
-        terms = _generate_factorial(count, size_budget)
-    elif kind == PRODUCT:
-        terms = _generate_product(count, size_budget)
-    else:
+    if kind not in (FACTORIAL, PRODUCT):
         raise ValueError(f"unknown sequence kind {kind!r}")
-    prefix = [0]
-    for t in terms:
-        prefix.append(prefix[-1] + t)
-    return WitnessSequence(kind=kind, terms=tuple(terms), prefix_sums=tuple(prefix))
-
-
-def _generate_factorial(count: int, budget: int) -> list[int]:
-    terms = [1]
-    digits_used = 1.0
-    running = 1
+    terms, prefix, digits_used = [1], [0, 1], 1.0
     while len(terms) < count:
-        est = _digits_of_factorial(running)
-        index = len(terms) + 1
-        if digits_used + est > budget or running > _FACTORIAL_ARG_CAP:
-            raise SequenceBudgetError(FACTORIAL, index, est, budget)
-        term = math.factorial(running)
+        if kind == FACTORIAL:
+            est = _digits_of_factorial(prefix[-1])
+        else:  # every block sum so far, b(i) + ... + b(j-1) = prefix[j-1] - prefix[i-1]
+            sums = [b - a for a, b in combinations(prefix, 2)]
+            est = sum(map(_digits_of_int, sums))
+        over_budget = digits_used + est > size_budget
+        if over_budget or est > _MAX_TERM_DIGITS:
+            raise SequenceBudgetError(kind, len(terms) + 1, est, size_budget, over_budget)
+        term = math.factorial(prefix[-1]) if kind == FACTORIAL else math.prod(sums)
         terms.append(term)
-        digits_used += _digits_of_int(term)
-        running += term
-    return terms
-
-
-def _generate_product(count: int, budget: int) -> list[int]:
-    terms = [1]
-    digits_used = 1.0
-    prefix = [0, 1]
-    while len(terms) < count:
-        n1 = len(terms) + 1  # index of the term being built
-        sums = [
-            prefix[j - 1] - prefix[i - 1]
-            for i, j in combinations(range(1, n1 + 1), 2)
-        ]
-        est = sum(_digits_of_int(s) for s in sums)
-        if digits_used + est > budget:
-            raise SequenceBudgetError(PRODUCT, n1, est, budget)
-        term = math.prod(sums)
-        terms.append(term)
-        digits_used += _digits_of_int(term)
         prefix.append(prefix[-1] + term)
-    return terms
+        digits_used += _digits_of_int(term)
+    return WitnessSequence(kind=kind, terms=tuple(terms), prefix_sums=tuple(prefix))
 
 
 def interval_sum(seq: WitnessSequence, i: int, j: int) -> int:
@@ -205,10 +177,9 @@ def check_divisibility_lemma(seq: WitnessSequence) -> LemmaReport:
     return LemmaReport(seq.kind, limit, checked, tuple(violations))
 
 
-# First five factorial terms and their prefix sums are exact constants;
-# everything past them is only ever needed modulo something.
-_EXACT_FACTORIAL_TERMS = (1, 1, 2, 24, math.factorial(28))
-_EXACT_FACTORIAL_PREFIX = (0, 1, 2, 4, 28, 28 + math.factorial(28))
+# The five factorial terms that are ever materialized; everything past
+# them is only ever needed modulo something.
+_EXACT_FACTORIAL = generate(FACTORIAL, 5)
 
 
 @lru_cache(maxsize=4096)
@@ -233,20 +204,20 @@ def interval_sum_mod(i: int, j: int, m: int) -> int:
     """Block sum terms[i] + ... + terms[j-1] of the factorial kind reduced
     mod m, without materializing any term.
 
-    Its terms past index 5 are congruent to 0 for every feasible modulus,
-    so arbitrarily deep block sums reduce to at most five exact summands.
+    Its terms past index 5 vanish mod every m <= 28 + 28! and mod any larger
+    m with kempner(m) <= 28 + 28!, so deep block sums have five summands at most.
     """
     _check_int("i", i)
     _check_int("j", j)
     if not 1 <= i < j:
         raise IndexError(f"need 1 <= i < j, got i={i}, j={j}")
     _check_int("modulus", m, 1)
-    # Each term from 6 on is the factorial of at least the 30-digit fifth
-    # prefix sum t, so it vanishes mod m whenever m divides t!, and
+    # Terms from 6 on are factorials of at least t, the fifth prefix sum;
     # kempner(m) <= m settles every m <= t without factorizing it.
-    if j > 6 and m > _EXACT_FACTORIAL_PREFIX[5] and kempner(m) > _EXACT_FACTORIAL_PREFIX[5]:
+    t = _EXACT_FACTORIAL.prefix_sums[-1]
+    if j > 6 and m > t and kempner(m) > t:
         raise EvaluationInfeasibleError(
             f"term {max(i, 6)} of the factorial sequence cannot be reduced mod {m}: "
             f"the modulus divides no factorial below the materializable range"
         )
-    return sum(_EXACT_FACTORIAL_TERMS[i - 1 : j - 1]) % m
+    return sum(_EXACT_FACTORIAL.terms[i - 1 : j - 1]) % m

@@ -361,6 +361,23 @@ class TestCache:
         with pytest.raises(ValueError):
             load_search_cache(str(path))
 
+    def test_missing_directory_fails_before_the_search(self, tmp_path, monkeypatch, capsys):
+        # A missing file is an empty cache; a missing directory would lose the search at the save.
+        assert load_search_cache(str(tmp_path / "c.json"))["entries"] == []
+        path = str(tmp_path / "absent" / "c.json")
+
+        def no_search(*args):
+            raise AssertionError("searched although the cache cannot be saved")
+
+        monkeypatch.setattr(schur_search, "_exists", no_search)
+        with pytest.raises(OSError, match=re.escape(path)):
+            schur_number(4, max_n=44, cache_path=path)
+        assert main(["schur", "--colors", "4", "--max-n", "44", "--cache", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert path in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
     def test_cache_keys_separate_restriction(self, tmp_path):
         path = str(tmp_path / "cache.json")
         schur_number(2, restricted=True, cache_path=path)

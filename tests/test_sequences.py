@@ -65,20 +65,24 @@ class TestGenerate:
             assert all(t >= 1 for t in seq.terms)
 
     def test_factorial_budget_error_names_term_six(self):
-        with pytest.raises(SequenceBudgetError) as exc:
+        with pytest.raises(SequenceBudgetError, match="digits; budget is 1000000 total digits$") as exc:
             generate(FACTORIAL, 6)
         assert exc.value.term_index == 6
         assert exc.value.estimated_digits > 10**30
 
     def test_factorial_infeasible_even_with_huge_budget(self):
-        # the sixth term is a factorial of a 30-digit number; no budget helps
-        with pytest.raises(SequenceBudgetError):
+        # the sixth term is a factorial of a 30-digit number; no budget helps,
+        # and the message names the per-term size rule, not the budget it fits
+        with pytest.raises(SequenceBudgetError, match="digits; no term may pass 100000000 digits$") as exc:
             generate(FACTORIAL, 6, size_budget=10**40)
+        assert (exc.value.term_index, exc.value.budget) == (6, 10**40)
 
     def test_product_budget_error(self):
         with pytest.raises(SequenceBudgetError) as exc:
             generate(PRODUCT, 60, size_budget=10**4)
         assert exc.value.kind == PRODUCT
+        assert exc.value.term_index == 9
+        assert exc.value.estimated_digits == pytest.approx(25667.30198)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
