@@ -65,10 +65,11 @@ class ColoringSpecError(ValueError):
     """Malformed coloring spec string; carries the spec, the offending position and bare `message`."""
 
     def __init__(self, spec: str, position: int, message: str):
-        self.spec = spec
-        self.position = position
-        self.message = message
-        super().__init__(f"coloring spec {spec!r}, position {position}: {message}")
+        super().__init__(spec, position, message)  # what pickle rebuilds from
+        self.spec, self.position, self.message = self.args
+
+    def __str__(self) -> str:
+        return f"coloring spec {self.spec!r}, position {self.position}: {self.message}"
 
 
 class Coloring:

@@ -32,18 +32,19 @@ under this fixed branching order is deterministic.
 
 W(l) is the largest n admitting a valid coloring and S(l) = W(l) + 1 the
 least n forcing a monochromatic triple; `schur_number` reports exact
-values only when the search both produced a witness for W and exhausted
-the tree for W + 1.  Node and wall-clock budgets, and the recursion
-limit, turn into a lower_bound status, never an error.
+values only when it both found a witness for W and exhausted W + 1.  It
+climbs n on one `_Searcher`, whose `grow` adds each new z's pairs: one
+node count and one poll grid span the run.  Node and wall-clock budgets,
+and the recursion limit, turn into a lower_bound status, never an error.
 
 Optional multi-process search splits the tree into cubes, the subtrees
 below each viable coloring of 1..SPLIT_DEPTH.  A worker starts a cube
 from the members, bans and node count the prefix enumeration recorded;
 counted in walk order, a threaded search reports the single-process
-witness and nodes.  Cube 0 runs in the caller; the pool gets cubes 1..
-only if it refutes.  `schur_number` keeps one process pool for all n, at
-most one worker per CPU.  A search with a node or wall-clock budget runs
-in one process, where the budget is polled exactly.
+witness and nodes.  Cube 0 runs on the run's searcher; the pool gets
+cubes 1.. only if it refutes.  `schur_number` keeps one process pool for
+all n, at most one worker per CPU.  A search with a node or wall-clock
+budget runs in one process, where the budget is polled exactly.
 `concurrent.futures` is imported by `_process_pool` on the first
 threaded call, so a single-process run never loads multiprocessing.
 
@@ -63,7 +64,7 @@ import os
 import time
 from contextlib import nullcontext, suppress
 from functools import lru_cache
-from math import inf, isfinite, isqrt
+from math import inf, isqrt
 from typing import Iterator, NamedTuple, Sequence
 
 from .primes import _check_int
@@ -111,11 +112,11 @@ class CacheError(RuntimeError):
     valid coloring, or a refutation contradicted by a witness."""
 
 
-def _triples(n: int, restricted: bool) -> Iterator[tuple[int, int, int]]:
-    """Every (x, y, z) with x + y = z <= n and x <= y, in (z, x) order.
+def _triples(n: int, restricted: bool, start: int = 2) -> Iterator[tuple[int, int, int]]:
+    """Every (x, y, z) with x + y = z <= n, z >= start and x <= y, in (z, x) order.
     Restricted triples also need x | y, that is x | z: x runs over the
     divisors d <= sqrt(z), then z/d for 1 < d < z/d."""
-    for z in range(2, n + 1):
+    for z in range(max(start, 2), n + 1):
         if restricted:
             small = [d for d in range(1, isqrt(z) + 1) if z % d == 0]
             xs = small + [z // d for d in reversed(small) if 1 < d < z // d]
@@ -139,38 +140,42 @@ def validate_coloring(colors: Sequence[int], restricted: bool) -> list[Forbidden
 
 
 class _Searcher:
-    """One depth-first search over colorings of {1..n} with l colors.
+    """Depth-first searches over colorings of {1..n} with l colors, one n
+    after another: `grow(n)` moves to a larger n.  Its state is the
+    members and bans of each color, len(members) of them.  `run()`
+    continues from it with the walk `_walk(l)`, the only assign step, to
+    `depth`: it stops at the first leaf, whose members it leaves in
+    `members`, or records each leaf's state while `prefixes` is a list.
+    `levels[v]` is (pairs[v], 1 << v).  A node and a reused twin subtree
+    take one step: add to `nodes`, then poll once it reaches `poll_at`,
+    the next multiple of 2048 or max_nodes + 1.  The count, the budgets
+    and so this poll grid serve every n of a run.  Every search, budgeted
+    or not, polls there: the `deadline`, a perf_counter reading, is read
+    at a multiple of 2048, then the node limit raises at max_nodes + 1.
+    A limit left None is inf."""
 
-    Its state is the members and bans of each color, len(members) of
-    them.  `run()` continues from it with the walk `_walk(l)`, the only
-    assign step, to `depth`: it stops at the first leaf, whose members it
-    leaves in `members`, or records each leaf's state while `prefixes` is
-    a list.  `levels[v]` is (pairs[v], 1 << v).  A node and a reused
-    twin subtree take one step: add to `nodes`, then poll once it reaches
-    `poll_at`, the next multiple of 2048 or max_nodes + 1.  Every search,
-    budgeted or not, polls there: the `deadline`, a perf_counter reading,
-    is read at a multiple of 2048, then the node limit raises at
-    max_nodes + 1.  A limit left None is inf."""
-
-    __slots__ = ("n", "members", "banned", "levels", "nodes", "depth", "prefixes", "max_nodes",
-                 "deadline", "poll_at")
+    __slots__ = ("n", "restricted", "members", "banned", "levels", "nodes", "depth", "prefixes",
+                 "max_nodes", "deadline", "poll_at")
 
     def __init__(self, l: int, n: int, restricted: bool, max_nodes: int | None = None,
                  deadline: float | None = None):
-        self.n = n
-        # pairs[y]: bit x for each forbidden (x, y, x + y); x <= y, so bans land above y.
-        pairs = [0] * (n + 1)
-        for x, y, _ in _triples(n, restricted):
-            pairs[y] |= 1 << x
-        self.levels = [(p, 1 << v) for v, p in enumerate(pairs)]
-        self.members = [0] * l
-        self.banned = [0] * l
-        self.nodes = 0
-        self.depth = n
-        self.prefixes = None
+        self.n, self.restricted, self.levels, self.members = 0, restricted, [], [0] * l
+        self.nodes, self.prefixes, self.poll_at = 0, None, 1
         self.max_nodes = inf if max_nodes is None else max_nodes
         self.deadline = inf if deadline is None else deadline
-        self.poll_at = 1
+        self.grow(n)
+
+    def grow(self, n: int) -> None:
+        """Extend the pair table to n by the triples whose z is new, and
+        clear the coloring.  pairs[y] has bit x for each forbidden
+        (x, y, x + y); x <= y, so bans land above y."""
+        levels = self.levels
+        levels += [(0, 1 << v) for v in range(len(levels), n + 1)]
+        for x, y, _ in _triples(n, self.restricted, self.n + 1):
+            pairs, bit = levels[y]
+            levels[y] = (pairs | 1 << x, bit)
+        self.n = self.depth = n
+        self.members, self.banned = [0] * len(self.members), [0] * len(self.members)
 
     def _poll(self, nodes: int) -> None:
         """Called once the count reaches `poll_at`, by one node or a reused subtree."""
@@ -281,18 +286,18 @@ def exists_valid_coloring(
     _check_problem(l, "n", n, max_nodes, max_seconds, threads)
     deadline = None if max_seconds is None else time.perf_counter() + max_seconds
     with _process_pool(threads) as pool:
-        return _exists(l, n, restricted, max_nodes, deadline, pool)[0]
+        return _exists(_Searcher(l, n, restricted, max_nodes, deadline), pool)
 
 
 def _check_problem(l: int, n_name: str, n: int | None, max_nodes: int | None, max_seconds: float | None,
                    threads: int) -> None:
-    """Counts must be ints >= their least value and seconds finite and >= 0; None is unbounded."""
+    """Counts are ints >= their least value, seconds a finite int or float >= 0 (no bool); None: no limit."""
     for name, value, least in (("color count", l, 1), (n_name, n, 1), ("max_nodes", max_nodes, 0),
                                ("threads", threads, 1)):
         if value is not None:
             _check_int(name, value, least)
-    if max_seconds is not None and not (isfinite(max_seconds) and max_seconds >= 0):
-        raise ValueError(f"max_seconds must be finite and >= 0, got {max_seconds}")
+    if max_seconds is not None and not (type(max_seconds) in (int, float) and 0 <= max_seconds < inf):
+        raise ValueError(f"max_seconds must be a finite number >= 0, got {max_seconds!r}")
 
 
 def _process_pool(threads: int):
@@ -306,30 +311,29 @@ def _process_pool(threads: int):
     return ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1))
 
 
-def _exists(l, n, restricted, max_nodes, deadline, pool):
-    """The first witness, or None on refutation, and the nodes searched.
+def _exists(searcher: _Searcher, pool) -> list[int] | None:
+    """The first witness for the searcher's n, or None on refutation.
     With a process pool, an unbudgeted n above SPLIT_DEPTH is split into
     cubes; a budgeted search runs here, where the budget is polled exactly."""
-    if pool is not None and n > SPLIT_DEPTH and max_nodes is None and deadline is None:
-        return _exists_parallel(l, n, restricted, pool)
-    searcher = _Searcher(l, n, restricted, max_nodes, deadline)
-    return searcher.run(), searcher.nodes
+    if pool is not None and searcher.n > SPLIT_DEPTH and searcher.max_nodes == searcher.deadline == inf:
+        return _exists_parallel(searcher, pool)
+    return searcher.run()
 
 
-def _exists_parallel(l: int, n: int, restricted: bool, pool) -> tuple[list[int] | None, int]:
-    """Search each cube from its recorded state: cube 0 here, then, once it
-    refutes, cubes 1.. in pool workers.  The one-process walk visits the
-    prefix nodes up to cube i's leaf, then cube i: so a witness or a cut
-    (the recursion limit) in cube i counts `at` of that leaf plus cubes
-    0..i, a refutation the whole enumeration plus all cubes.  Returning
-    closes `results`, which cancels the pending cubes."""
-    base = _Searcher(l, n, restricted)
-    cubes = base.collect_prefixes(SPLIT_DEPTH)
-    work = [(l, n, restricted, members, banned) for members, banned, _ in cubes]
+def _exists_parallel(searcher: _Searcher, pool) -> list[int] | None:
+    """Enumerate the cubes on the run's searcher and search cube 0 on it too, then, once it
+    refutes, cubes 1.. in pool workers.  In walk order, a witness or a cut (the recursion
+    limit) in cube i leaves `searcher.nodes` at `at` of its leaf plus cubes 0..i, a refutation
+    at the whole enumeration plus all cubes.  Returning closes `results`: no cube is left pending."""
+    cubes = searcher.collect_prefixes(SPLIT_DEPTH)
+    end = searcher.nodes
+    work = [(len(searcher.members), searcher.n, searcher.restricted, members, banned)
+            for members, banned, _ in cubes[1:]]
 
     def run_cubes():
-        yield _cube_worker(work[0])
-        yield from pool.map(_cube_worker, work[1:])
+        searcher.nodes = 0  # counted from 0, as a worker counts its cube; the loop sets the run's count
+        yield searcher.resume(*cubes[0][:2]), searcher.nodes
+        yield from pool.map(_cube_worker, work)
 
     results = run_cubes()
     nodes = 0  # the nodes of the cubes before cube i
@@ -338,13 +342,16 @@ def _exists_parallel(l: int, n: int, restricted: bool, pool) -> tuple[list[int] 
             try:
                 witness, cube_nodes = next(results)
             except BudgetExhausted as cut:
-                raise BudgetExhausted(at + nodes + cut.nodes) from None
+                searcher.nodes = at + nodes + cut.nodes
+                raise BudgetExhausted(searcher.nodes) from None
             nodes += cube_nodes
             if witness is not None:
-                return witness, at + nodes
+                searcher.nodes = at + nodes
+                return witness
     finally:
         results.close()
-    return None, base.nodes + nodes
+    searcher.nodes = end + nodes
+    return None
 
 
 class SearchStats(NamedTuple):
@@ -384,21 +391,18 @@ def schur_number(
     _check_problem(l, "max_n", max_n, max_nodes, max_seconds, threads)
     start = time.perf_counter()
     deadline = None if max_seconds is None else start + max_seconds
-    nodes_total = 0
 
     key = (l, bool(restricted))
     cache = None if cache_path is None else load_search_cache(cache_path)
     W, witness, refuted_at = (0, [], None) if cache is None else _cache_best(cache, cache_path, key)
 
-    n = W + 1
+    n, searcher = W + 1, _Searcher(l, 0, restricted, max_nodes, deadline)
     with _process_pool(threads) as pool:
         while n != refuted_at and (max_n is None or n <= max_n):
-            node_room = None if max_nodes is None else max_nodes - nodes_total
+            searcher.grow(n)
             try:
-                found, nodes = _exists(l, n, restricted, node_room, deadline, pool)
-                nodes_total += nodes
-            except BudgetExhausted as exc:
-                nodes_total += exc.nodes
+                found = _exists(searcher, pool)
+            except BudgetExhausted:
                 break
             if found is None:
                 refuted_at = n
@@ -416,7 +420,7 @@ def schur_number(
         W=W,
         S=W + 1 if status == "exact" else None,
         witness_coloring=list(witness),
-        stats=SearchStats(nodes=nodes_total, wall_time=wall),
+        stats=SearchStats(nodes=searcher.nodes, wall_time=wall),
     )
 
 

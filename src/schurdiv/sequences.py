@@ -70,13 +70,13 @@ class SequenceBudgetError(ValueError):
 
     def __init__(self, kind: str, term_index: int, estimated_digits: float, budget: int,
                  over_budget: bool = True):
-        self.kind = kind
-        self.term_index = term_index
-        self.estimated_digits = estimated_digits
-        self.budget = budget
-        limit = f"budget is {budget} total" if over_budget else f"no term may pass {_MAX_TERM_DIGITS}"
-        super().__init__(f"{kind} term {term_index} needs about {estimated_digits:.3g} decimal digits; "
-                         f"{limit} digits")
+        super().__init__(kind, term_index, estimated_digits, budget, over_budget)  # what pickle rebuilds from
+        self.kind, self.term_index, self.estimated_digits, self.budget, self.over_budget = self.args
+
+    def __str__(self) -> str:
+        limit = f"budget is {self.budget} total" if self.over_budget else f"no term may pass {_MAX_TERM_DIGITS}"
+        return (f"{self.kind} term {self.term_index} needs about {self.estimated_digits:.3g} decimal digits; "
+                f"{limit} digits")
 
 
 class EvaluationInfeasibleError(ValueError):

@@ -4,11 +4,14 @@
 machinery; pools are imported on the first threaded call.  Every result
 record is a NamedTuple: fields keep their order and defaults, and
 assigning to a field raises AttributeError.  The package exports the
-union of its library modules' `__all__` lists and nothing else.
+union of its library modules' `__all__` lists and nothing else.  Every
+exception it exports survives a pickle round trip, as a pool worker's
+exception must.
 """
 
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +21,14 @@ import pytest
 
 import schurdiv
 from schurdiv import (
+    BudgetExhausted,
+    CacheError,
+    ColoringSpecError,
     ConsecutiveOnesWitness,
+    EvaluationInfeasibleError,
+    FactorizationBudgetError,
+    OutOfDomainError,
+    SequenceBudgetError,
     ConsecutivePair,
     LambdaEstimate,
     LemmaReport,
@@ -70,6 +80,31 @@ def test_package_exports_are_the_modules_all():
     assert len(declared) == len(set(declared)) and public == set(declared)
     assert "sieve" not in public
     assert {"CACHE_VERSION", "LemmaViolation", "prime_table", "smallest_prime_factors"} <= public
+
+
+EXCEPTIONS = [
+    BudgetExhausted(42),
+    CacheError("cache c.json: entry 0 is not an object"),
+    ColoringSpecError("x", 1, "bad"),
+    EvaluationInfeasibleError("too many digits"),
+    FactorizationBudgetError("cofactor unresolved"),
+    OutOfDomainError("n = 0 is outside 1..5"),
+    SequenceBudgetError("factorial", 6, 8.8e30, 10**6),
+    SequenceBudgetError("factorial", 6, 8.8e30, 10**50, over_budget=False),
+]
+
+
+@pytest.mark.parametrize("exc", EXCEPTIONS, ids=lambda exc: type(exc).__name__)
+def test_exception_survives_pickling(exc):
+    copy = pickle.loads(pickle.dumps(exc))
+    assert type(copy) is type(exc)
+    assert (str(copy), copy.args, vars(copy)) == (str(exc), exc.args, vars(exc))
+
+
+def test_every_exported_exception_is_pickled():
+    exported = {value for value in vars(schurdiv).values()
+                if isinstance(value, type) and issubclass(value, BaseException)}
+    assert exported == {type(exc) for exc in EXCEPTIONS}
 
 
 RECORDS = [

@@ -278,7 +278,8 @@ class TestDeepSearch:
 class TestBudgetValidation:
     """Budgets are None (unlimited) or at least 0; seconds must be finite."""
 
-    BAD = [{"max_nodes": -3}, {"max_seconds": -5.0}, {"max_seconds": math.nan}, {"max_seconds": math.inf}]
+    BAD = [{"max_nodes": -3}, {"max_seconds": -5.0}, {"max_seconds": math.nan}, {"max_seconds": math.inf},
+           {"max_seconds": True}, {"max_seconds": "1"}]
 
     @pytest.mark.parametrize("budget", BAD)
     def test_schur_number_rejects(self, budget):
@@ -685,7 +686,7 @@ class TestConcurrentWriters:
 
         def false_refutation(*args):
             _write_cache(path, (2, 4, self.W4, "valid"))
-            return None, 0
+            return None
 
         monkeypatch.setattr(schur_search, "_exists", false_refutation)
         with pytest.raises(CacheError, match="the run's refutation .*n=1, refuted.*witness at n=4"):

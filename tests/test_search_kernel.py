@@ -162,8 +162,16 @@ class TestBudgetPoll:
         assert (cut.nodes, str(cut)) == (42, "search budget exhausted after 42 nodes")
 
     def test_zero_seconds_schur_number(self):
+        # One poll grid per run: the clock is read at the run's 2048th node.
         result = schur_number(4, max_seconds=0)
-        assert (result.status, result.W, result.stats.nodes) == ("lower_bound", 39, 7642)
+        assert (result.status, result.W, result.stats.nodes) == ("lower_bound", 29, 2048)
+
+    def test_zero_seconds_stops_a_climb_of_cheap_n(self):
+        # No single n of this climb reaches 2048 nodes, so a grid per n never read the clock.
+        start = time.perf_counter()
+        result = schur_number(5, True, max_seconds=0)
+        assert (result.status, result.stats.nodes) == ("lower_bound", 2048)
+        assert time.perf_counter() - start < 2
 
     def test_unbudgeted_search_polls_every_2048_nodes(self, monkeypatch):
         # Without a budget there is nothing to cut, but the poll points stay:
@@ -189,15 +197,31 @@ class TestParallelNodes:
         with ProcessPoolExecutor(max_workers=2) as pool:
             for depth in (3, 5):
                 monkeypatch.setattr(schur_search, "SPLIT_DEPTH", depth)
-                assert schur_search._exists_parallel(3, 14, False, pool) == (None, seq.nodes)
+                searcher = _new(3, 14, False)
+                assert schur_search._exists_parallel(searcher, pool) is None
+                assert searcher.nodes == seq.nodes
+
+    def test_counts_continue_the_run(self, monkeypatch):
+        # The prefixes are enumerated on the run's searcher, so every `at` is a count within the run.
+        monkeypatch.setattr(schur_search, "SPLIT_DEPTH", 4)
+        seq = _new(3, 14, False)
+        assert seq.run() is None
+        searcher = _new(3, 13, False)
+        assert searcher.run() is not None
+        before = searcher.nodes
+        searcher.grow(14)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            assert schur_search._exists_parallel(searcher, pool) is None
+        assert searcher.nodes == before + seq.nodes
 
     def test_witness_cube_total_is_deterministic(self, monkeypatch):
         monkeypatch.setattr(schur_search, "SPLIT_DEPTH", 4)
         seq = _new(3, 13, False)
+        searchers = _new(3, 13, False), _new(3, 13, False)
         with ProcessPoolExecutor(max_workers=2) as pool:
-            first = schur_search._exists_parallel(3, 13, False, pool)
-            again = schur_search._exists_parallel(3, 13, False, pool)
-        assert first == again == (seq.run(), seq.nodes)
+            first, again = (schur_search._exists_parallel(searcher, pool) for searcher in searchers)
+        assert first == again == seq.run()
+        assert searchers[0].nodes == searchers[1].nodes == seq.nodes
 
     def test_schur_number_reports_worker_nodes(self, monkeypatch):
         seq = schur_number(3)
@@ -346,3 +370,61 @@ class TestTwinReuse:
         with pytest.raises(BudgetExhausted) as info:
             self._step(searcher, 10**6)
         assert info.value.nodes == searcher.nodes == cut
+
+
+class TestOneSearcherPerRun:
+    """`schur_number` grows one searcher through every n: its pair table,
+    node count and poll grid live for the whole run, and every W,
+    witness and node count is that of a fresh search per n."""
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_grown_table_is_the_fresh_one(self, restricted):
+        # Searched at n < 14 too: grow also clears the coloring a search left.
+        grown = _new(3, 1, restricted)
+        for n in range(2, 201):
+            if n < 14:
+                assert grown.run() is not None
+            grown.grow(n)
+            fresh = _new(3, n, restricted)
+            assert grown.levels == fresh.levels, n
+            assert (grown.n, grown.depth, grown.members, grown.banned) == (n, n, [0] * 3, [0] * 3)
+
+    @staticmethod
+    def _fresh_climb(l, restricted, max_n, max_nodes):
+        """The climb with a fresh searcher per n, each given the budget the n before it left."""
+        W, witness, total = 0, [], 0
+        for n in range(1, max_n + 1):
+            searcher = _new(l, n, restricted, None if max_nodes is None else max_nodes - total)
+            try:
+                found = searcher.run()
+            except BudgetExhausted:
+                return W, witness, total + searcher.nodes
+            total += searcher.nodes
+            if found is None:
+                break
+            W, witness = n, found
+        return W, witness, total
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_run_is_the_sum_of_fresh_searches(self, l, restricted):
+        for max_n, max_nodes in ((40, None), (200, 37), (200, 5_000), (200, 30_000)):
+            run = schur_number(l, restricted, max_n=max_n, max_nodes=max_nodes)
+            want = self._fresh_climb(l, restricted, max_n, max_nodes)
+            assert (run.W, run.witness_coloring, run.stats.nodes) == want, (max_n, max_nodes)
+
+    @pytest.mark.parametrize("budget", [{}, {"threads": 2}, {"max_nodes": 5_000, "threads": 2}, {"max_seconds": 0}])
+    def test_schur_number_builds_one_searcher(self, monkeypatch, budget):
+        # Cube 0 of a threaded n runs on the run's searcher too; only pool workers build their own.
+        built = []
+
+        class Counting(schur_search._Searcher):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(args[:3])
+                super().__init__(*args)
+
+        monkeypatch.setattr(schur_search, "_Searcher", Counting)
+        schur_number(3, **budget)
+        assert built == [(3, 0, False)]
