@@ -38,15 +38,14 @@ node count and one poll grid span the run.  Node and wall-clock budgets,
 and the recursion limit, turn into a lower_bound status, never an error.
 
 Optional multi-process search splits the tree into cubes, the subtrees
-below each viable coloring of 1..SPLIT_DEPTH.  A worker starts a cube
-from the members, bans and node count the prefix enumeration recorded;
-counted in walk order, a threaded search reports the single-process
-witness and nodes.  Cube 0 runs on the run's searcher; the pool gets
-cubes 1.. only if it refutes.  `schur_number` keeps one process pool for
-all n, at most one worker per CPU.  A search with a node or wall-clock
-budget runs in one process, where the budget is polled exactly.
-`concurrent.futures` is imported by `_process_pool` on the first
-threaded call, so a single-process run never loads multiprocessing.
+below each viable coloring of 1..SPLIT_DEPTH.  Cube 0 is the walk's own
+first subtree, searched on the run's searcher as one process does; only
+if it refutes are the cubes enumerated, and a worker starts each later
+one from the members, bans and node count recorded there, so a threaded
+search reports the single-process witness and nodes.  `schur_number`
+keeps one pool of `_workers(threads)` processes for all n.  A budgeted
+search runs in one process, where the budget is polled exactly.  Only
+`_process_pool` imports `concurrent.futures`, on the first threaded call.
 
 The cache is keyed by the whole problem (l, restricted) and keeps per
 key only what decides it: the largest witness and the least refutation.
@@ -62,7 +61,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import nullcontext, suppress
+from contextlib import closing, nullcontext, suppress
 from functools import lru_cache
 from math import inf, isqrt
 from typing import Iterator, NamedTuple, Sequence
@@ -144,8 +143,8 @@ class _Searcher:
     after another: `grow(n)` moves to a larger n.  Its state is the
     members and bans of each color, len(members) of them.  `run()`
     continues from it with the walk `_walk(l)`, the only assign step, to
-    `depth`: it stops at the first leaf, whose members it leaves in
-    `members`, or records each leaf's state while `prefixes` is a list.
+    `depth`: it stops at the first leaf, whose state it leaves in `members`
+    and `banned`, or records each leaf's state while `prefixes` is a list.
     `levels[v]` is (pairs[v], 1 << v).  A node and a reused twin subtree
     take one step: add to `nodes`, then poll once it reaches `poll_at`,
     the next multiple of 2048 or max_nodes + 1.  The count, the budgets
@@ -232,7 +231,7 @@ def _walk(l: int):
     source = f"""def walk(s, v, {', '.join(ms + bs)}):
     if v > s.depth:
         if s.prefixes is None:
-            s.members = [{', '.join(ms)}]
+            s.members, s.banned = [{', '.join(ms)}], [{', '.join(bs)}]
             return True
         s.prefixes.append(([{', '.join(ms)}], [{', '.join(bs)}], s.nodes))
         return False
@@ -300,44 +299,44 @@ def _check_problem(l: int, n_name: str, n: int | None, max_nodes: int | None, ma
         raise ValueError(f"max_seconds must be a finite number >= 0, got {max_seconds!r}")
 
 
+def _workers(threads: int) -> int:
+    """One worker per CPU at most, however many threads are asked for: a fork-based
+    pool starts all its workers at the first submit, and a scan cuts its blocks for the workers."""
+    return min(threads, os.cpu_count() or 1)
+
+
 def _process_pool(threads: int):
-    """A context manager yielding a process pool, or None when threads <= 1.
-    The pool has one worker per CPU at most, however many threads are asked
-    for: a fork-based pool starts all its workers at the first submit."""
+    """A context manager yielding a pool of `_workers(threads)` processes, or None when threads <= 1."""
     if threads <= 1:
         return nullcontext()
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1))
+    return ProcessPoolExecutor(max_workers=_workers(threads))
 
 
 def _exists(searcher: _Searcher, pool) -> list[int] | None:
-    """The first witness for the searcher's n, or None on refutation.
-    With a process pool, an unbudgeted n above SPLIT_DEPTH is split into
-    cubes; a budgeted search runs here, where the budget is polled exactly."""
-    if pool is not None and searcher.n > SPLIT_DEPTH and searcher.max_nodes == searcher.deadline == inf:
-        return _exists_parallel(searcher, pool)
-    return searcher.run()
-
-
-def _exists_parallel(searcher: _Searcher, pool) -> list[int] | None:
-    """Enumerate the cubes on the run's searcher and search cube 0 on it too, then, once it
-    refutes, cubes 1.. in pool workers.  In walk order, a witness or a cut (the recursion
-    limit) in cube i leaves `searcher.nodes` at `at` of its leaf plus cubes 0..i, a refutation
-    at the whole enumeration plus all cubes.  Returning closes `results`: no cube is left pending."""
-    cubes = searcher.collect_prefixes(SPLIT_DEPTH)
+    """The first witness for the searcher's n, or None on refutation.  A budgeted search, or one
+    without a pool or at n <= SPLIT_DEPTH, runs here alone.  Otherwise cube 0 runs here as in one
+    process: the walk to its root, the first leaf at depth SPLIT_DEPTH, then on to depth n.  Only
+    if it refutes are the cubes enumerated from the n's start, and cubes 1.. run in the pool.  In
+    walk order, a witness or a cut (the recursion limit) in cube i leaves `searcher.nodes` at `at`
+    of its leaf plus cubes 0..i, a refutation at the whole enumeration plus all cubes."""
+    if pool is None or searcher.n <= SPLIT_DEPTH or searcher.max_nodes != inf or searcher.deadline != inf:
+        return searcher.run()
+    start, searcher.depth = searcher.nodes, SPLIT_DEPTH
+    if searcher.run() is None:
+        return None
+    root, searcher.depth = searcher.nodes, searcher.n
+    witness = searcher.run()
+    if witness is not None:
+        return witness
+    nodes = searcher.nodes - root  # the nodes of the cubes before cube i
+    searcher.grow(searcher.n)
+    searcher.nodes = start
+    cubes = searcher.collect_prefixes(SPLIT_DEPTH)[1:]
     end = searcher.nodes
-    work = [(len(searcher.members), searcher.n, searcher.restricted, members, banned)
-            for members, banned, _ in cubes[1:]]
-
-    def run_cubes():
-        searcher.nodes = 0  # counted from 0, as a worker counts its cube; the loop sets the run's count
-        yield searcher.resume(*cubes[0][:2]), searcher.nodes
-        yield from pool.map(_cube_worker, work)
-
-    results = run_cubes()
-    nodes = 0  # the nodes of the cubes before cube i
-    try:
+    work = [(len(searcher.members), searcher.n, searcher.restricted, members, banned) for members, banned, _ in cubes]
+    with closing(pool.map(_cube_worker, work)) as results:  # closed on return: no cube is left pending
         for _, _, at in cubes:
             try:
                 witness, cube_nodes = next(results)
@@ -348,8 +347,6 @@ def _exists_parallel(searcher: _Searcher, pool) -> list[int] | None:
             if witness is not None:
                 searcher.nodes = at + nodes
                 return witness
-    finally:
-        results.close()
     searcher.nodes = end + nodes
     return None
 

@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 from functools import partial
 
 import pytest
@@ -177,6 +179,31 @@ class TestScan:
         }[window]
         want = [(p, residue_run_start(p, k, 2)) for p in primes_in_range(lo, hi)]
         assert scan_primes(k, 2, lo, hi, threads) == want
+
+    def test_blocks_follow_the_workers_not_the_threads(self, monkeypatch):
+        # A pool has one worker per CPU at most, and a scan cuts its blocks for the workers it gets.
+        mapped = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, blocks):
+                mapped.append(blocks)
+                return map(fn, blocks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        rows = [scan_primes(3, 2, 2, 10**5, threads=threads) for threads in (2, 500)]
+        assert rows[0] == rows[1]
+        assert mapped[0] == mapped[1]
+        assert len(mapped[0]) == 16
 
     def test_monotone_in_range_growth(self):
         maxima = []

@@ -198,7 +198,7 @@ class TestParallelNodes:
             for depth in (3, 5):
                 monkeypatch.setattr(schur_search, "SPLIT_DEPTH", depth)
                 searcher = _new(3, 14, False)
-                assert schur_search._exists_parallel(searcher, pool) is None
+                assert schur_search._exists(searcher, pool) is None
                 assert searcher.nodes == seq.nodes
 
     def test_counts_continue_the_run(self, monkeypatch):
@@ -211,7 +211,7 @@ class TestParallelNodes:
         before = searcher.nodes
         searcher.grow(14)
         with ProcessPoolExecutor(max_workers=2) as pool:
-            assert schur_search._exists_parallel(searcher, pool) is None
+            assert schur_search._exists(searcher, pool) is None
         assert searcher.nodes == before + seq.nodes
 
     def test_witness_cube_total_is_deterministic(self, monkeypatch):
@@ -219,7 +219,7 @@ class TestParallelNodes:
         seq = _new(3, 13, False)
         searchers = _new(3, 13, False), _new(3, 13, False)
         with ProcessPoolExecutor(max_workers=2) as pool:
-            first, again = (schur_search._exists_parallel(searcher, pool) for searcher in searchers)
+            first, again = (schur_search._exists(searcher, pool) for searcher in searchers)
         assert first == again == seq.run()
         assert searchers[0].nodes == searchers[1].nodes == seq.nodes
 
@@ -270,6 +270,32 @@ class TestParallelNodes:
         assert mapped == []
         assert (par.W, par.witness_coloring, par.stats.nodes) == (seq.W, seq.witness_coloring, seq.stats.nodes)
         assert (par.W, par.stats.nodes) == (max_n, nodes)
+
+    @pytest.mark.parametrize("l,restricted,max_n,nodes", [(3, True, 111, 6_812), (5, True, 200, 20_561)])
+    def test_cube_0_decides_without_enumerating(self, monkeypatch, mapped, l, restricted, max_n, nodes):
+        # Cube 0 is the walk's own first subtree: the cubes are enumerated only once it refutes.
+        enumerated = []
+        collect = schur_search._Searcher.collect_prefixes
+        monkeypatch.setattr(schur_search._Searcher, "collect_prefixes",
+                            lambda searcher, depth: enumerated.append(searcher.n) or collect(searcher, depth))
+        seq = schur_number(l, restricted, max_n=max_n)
+        par = schur_number(l, restricted, max_n=max_n, threads=2)
+        assert (enumerated, mapped) == ([], [])
+        assert (par.W, par.witness_coloring, par.stats.nodes) == (seq.W, seq.witness_coloring, seq.stats.nodes)
+        assert (par.W, par.stats.nodes) == (max_n, nodes)
+
+    @pytest.mark.parametrize("l,restricted,ns", [(l, restricted, range(9, 41)) for l, restricted, _ in VARIANTS]
+                             + [(4, False, [44])])
+    def test_threaded_exists_is_the_single_process_search(self, mapped, l, restricted, ns):
+        # Cubes past cube 0 reach the pool for l = 3 from n = 13 (a witness there, refutations from
+        # 14) and for l = 4 at n = 44, whose witness lies in cube 6 after 1,074,932 nodes.  Cube 0
+        # refutes the restricted l = 2 from n = 12 too, but has no cube after it.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
+            for n in ns:
+                searcher, seq = _new(l, n, restricted), _new(l, n, restricted)
+                assert (schur_search._exists(searcher, pool), searcher.nodes) == (seq.run(), seq.nodes), n
+        want = list(range(13, 41)) if (l, restricted) == (3, False) else [44] if 44 in ns else []
+        assert [n for cubes in mapped for n in cubes] == want
 
     def test_only_a_refuted_cube_0_reaches_the_pool(self, mapped):
         par = schur_number(4, max_n=44, threads=2)
