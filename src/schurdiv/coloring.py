@@ -14,7 +14,8 @@ Coset colorings assign one color per coset of the subgroup of k-th
 powers in the multiplicative group mod p (ordered by smallest positive
 representative) plus one dedicated extra color for multiples of p, which
 makes them total on all positive integers.  They tell cosets apart by a
-power character evaluated per query, so they build no table of size p.
+power character evaluated per query and a table with one entry per coset,
+gcd(k, p-1) of them: p - 1 entries when p - 1 divides k.
 
 A one-line spec grammar mirrors all of this for the command line
 (`parse_coloring_spec`, and `schur-div witness --coloring SPEC`).  It only
@@ -131,8 +132,8 @@ class CosetColoring(Coloring):
     the coset of r.  Construction walks r = 1, 2, ... and gives each new
     chi value the next color index until all d have appeared, so coset
     colors follow smallest positive representative; the extra color is the
-    last index.  Each query evaluates chi with one `pow`, and nothing of
-    size p is kept.
+    last index.  Each query evaluates chi with one `pow` and reads its color
+    from a dict of d entries, p - 1 of them when p - 1 divides k.
     """
 
     def __init__(self, p: int, k: int):

@@ -20,10 +20,10 @@ once, so the kernel never re-proves primality.  A scan is a list of
 plain (p, r) rows, r None for an exceptional prime, from the kernel to
 its consumer: `summarize_reports`, `exceptional_primes` and the CLI all
 read rows.  Every scan cuts its range into at most 8 blocks per worker
-of `schur_search._workers`, the pool's size rule, and works through them
-one after another in this process or across the pool of
-`schur_search._process_pool`, which imports `concurrent.futures` only
-for threads > 1, so importing this module loads no multiprocessing.
+of `schur_search._workers`, the pool's size rule, and hands them to
+`schur_search._map`: one after another in this process for one worker,
+else across a pool that imports `concurrent.futures` only then, so
+importing this module loads no multiprocessing.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .primes import _check_int, is_prime, primes_in_range, smallest_prime_factors
-from .schur_search import _process_pool, _workers
+from .schur_search import _map, _workers
 
 __all__ = [
     "LambdaEstimate",
@@ -124,9 +124,7 @@ def scan_primes(k: int, m: int, p_min: int, p_max: int, threads: int = 1) -> lis
     span = p_max - p_min + 1
     width = max(1024, span // (_workers(threads) * 8) + 1)
     blocks = [(k, m, lo, min(lo + width - 1, p_max)) for lo in range(p_min, p_max + 1, width)]
-    with _process_pool(threads) as pool:
-        block_rows = (map if pool is None else pool.map)(_scan_block, blocks)
-        return [row for rows in block_rows for row in rows]
+    return [row for rows in _map(_scan_block, blocks, threads) for row in rows]
 
 
 def summarize_reports(

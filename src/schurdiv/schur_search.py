@@ -42,10 +42,10 @@ below each viable coloring of 1..SPLIT_DEPTH.  Cube 0 is the walk's own
 first subtree, searched on the run's searcher as one process does; only
 if it refutes are the cubes enumerated, and a worker starts each later
 one from the members, bans and node count recorded there, so a threaded
-search reports the single-process witness and nodes.  `schur_number`
-keeps one pool of `_workers(threads)` processes for all n.  A budgeted
-search runs in one process, where the budget is polled exactly.  Only
-`_process_pool` imports `concurrent.futures`, on the first threaded call.
+search reports the single-process witness and nodes.  `_map` runs them
+in a pool of `_workers(threads)` processes that closes with the n.  A
+search with one worker or a budget (polled exactly) runs in one process.
+Only `_map` imports `concurrent.futures`, when it opens a pool.
 
 The cache is keyed by the whole problem (l, restricted) and keeps per
 key only what decides it: the largest witness and the least refutation.
@@ -61,7 +61,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import closing, nullcontext, suppress
+from contextlib import closing, suppress
 from functools import lru_cache
 from math import inf, isqrt
 from typing import Iterator, NamedTuple, Sequence
@@ -284,8 +284,7 @@ def exists_valid_coloring(
     or the recursion limit cuts the search before either outcome."""
     _check_problem(l, "n", n, max_nodes, max_seconds, threads)
     deadline = None if max_seconds is None else time.perf_counter() + max_seconds
-    with _process_pool(threads) as pool:
-        return _exists(_Searcher(l, n, restricted, max_nodes, deadline), pool)
+    return _exists(_Searcher(l, n, restricted, max_nodes, deadline), threads)
 
 
 def _check_problem(l: int, n_name: str, n: int | None, max_nodes: int | None, max_seconds: float | None,
@@ -300,28 +299,31 @@ def _check_problem(l: int, n_name: str, n: int | None, max_nodes: int | None, ma
 
 
 def _workers(threads: int) -> int:
-    """One worker per CPU at most, however many threads are asked for: a fork-based
-    pool starts all its workers at the first submit, and a scan cuts its blocks for the workers."""
+    """One worker per CPU at most, however many threads are asked for: a fork-based pool starts all
+    its workers at the first submit, and a scan cuts its blocks for the workers.  At one, no pool."""
     return min(threads, os.cpu_count() or 1)
 
 
-def _process_pool(threads: int):
-    """A context manager yielding a pool of `_workers(threads)` processes, or None when threads <= 1."""
-    if threads <= 1:
-        return nullcontext()
+def _map(fn, items, threads: int):
+    """`fn` over `items` in order: in this process for one worker, else in a pool of `_workers(threads)`
+    processes living as long as the iterator.  Closing it cancels the items not started, awaits the rest."""
+    if _workers(threads) <= 1:
+        yield from map(fn, items)
+        return
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=_workers(threads))
+    with ProcessPoolExecutor(max_workers=_workers(threads)) as pool:
+        yield from pool.map(fn, items)
 
 
-def _exists(searcher: _Searcher, pool) -> list[int] | None:
+def _exists(searcher: _Searcher, threads: int) -> list[int] | None:
     """The first witness for the searcher's n, or None on refutation.  A budgeted search, or one
-    without a pool or at n <= SPLIT_DEPTH, runs here alone.  Otherwise cube 0 runs here as in one
+    with one worker or at n <= SPLIT_DEPTH, runs here alone.  Otherwise cube 0 runs here as in one
     process: the walk to its root, the first leaf at depth SPLIT_DEPTH, then on to depth n.  Only
-    if it refutes are the cubes enumerated from the n's start, and cubes 1.. run in the pool.  In
-    walk order, a witness or a cut (the recursion limit) in cube i leaves `searcher.nodes` at `at`
-    of its leaf plus cubes 0..i, a refutation at the whole enumeration plus all cubes."""
-    if pool is None or searcher.n <= SPLIT_DEPTH or searcher.max_nodes != inf or searcher.deadline != inf:
+    if it refutes are the cubes enumerated from the n's start, and cubes 1.. run in a pool shut down
+    before this returns.  In walk order, a witness or a cut (the recursion limit) in cube i leaves
+    `searcher.nodes` at `at` of its leaf plus cubes 0..i, a refutation at all prefixes and cubes."""
+    if _workers(threads) <= 1 or searcher.n <= SPLIT_DEPTH or searcher.max_nodes != inf or searcher.deadline != inf:
         return searcher.run()
     start, searcher.depth = searcher.nodes, SPLIT_DEPTH
     if searcher.run() is None:
@@ -336,7 +338,7 @@ def _exists(searcher: _Searcher, pool) -> list[int] | None:
     cubes = searcher.collect_prefixes(SPLIT_DEPTH)[1:]
     end = searcher.nodes
     work = [(len(searcher.members), searcher.n, searcher.restricted, members, banned) for members, banned, _ in cubes]
-    with closing(pool.map(_cube_worker, work)) as results:  # closed on return: no cube is left pending
+    with closing(_map(_cube_worker, work, threads)) as results:  # closed on return: the pool shuts down
         for _, _, at in cubes:
             try:
                 witness, cube_nodes = next(results)
@@ -394,17 +396,16 @@ def schur_number(
     W, witness, refuted_at = (0, [], None) if cache is None else _cache_best(cache, cache_path, key)
 
     n, searcher = W + 1, _Searcher(l, 0, restricted, max_nodes, deadline)
-    with _process_pool(threads) as pool:
-        while n != refuted_at and (max_n is None or n <= max_n):
-            searcher.grow(n)
-            try:
-                found = _exists(searcher, pool)
-            except BudgetExhausted:
-                break
-            if found is None:
-                refuted_at = n
-            else:
-                W, witness, n = n, found, n + 1
+    while n != refuted_at and (max_n is None or n <= max_n):
+        searcher.grow(n)
+        try:
+            found = _exists(searcher, threads)
+        except BudgetExhausted:
+            break
+        if found is None:
+            refuted_at = n
+        else:
+            W, witness, n = n, found, n + 1
     status = "exact" if refuted_at == W + 1 else "lower_bound"
 
     if cache is not None:

@@ -66,6 +66,17 @@ class TestColdStart:
         )
         assert _loaded_after(code) == []
 
+    def test_threaded_runs_that_never_split_import_no_pool(self):
+        # Decided in cube 0, or budgeted: no cube reaches a worker, so no pool is opened.
+        code = (
+            "from schurdiv import schur_number\n"
+            "schur_number(3, True, max_n=111, threads=2)\n"
+            "schur_number(4, max_nodes=300_000, threads=2)\n"
+            "import sys\n"
+            "assert 'concurrent.futures' not in sys.modules"
+        )
+        assert _loaded_after(code) == []
+
     def test_threaded_scan_imports_the_pool(self):
         code = "from schurdiv import scan_primes\nscan_primes(3, 2, 2, 3000, threads=2)"
         assert "concurrent.futures.process" in _loaded_after(code)

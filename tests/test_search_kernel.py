@@ -20,6 +20,7 @@ color: the l = 1 cases guard it.
 """
 
 import concurrent.futures
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -32,7 +33,7 @@ from pathlib import Path
 import pytest
 
 import oracle_search
-from schurdiv import schur_search
+from schurdiv import scan_primes, schur_search
 from schurdiv.schur_search import BudgetExhausted, exists_valid_coloring, schur_number
 
 # (l, restricted, allow_equal): allow_equal is the oracle's, always True.
@@ -192,34 +193,34 @@ class TestBudgetPoll:
 
 class TestParallelNodes:
     def test_refutation_counts_every_node(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         seq = _new(3, 14, False)
         assert seq.run() is None
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            for depth in (3, 5):
-                monkeypatch.setattr(schur_search, "SPLIT_DEPTH", depth)
-                searcher = _new(3, 14, False)
-                assert schur_search._exists(searcher, pool) is None
-                assert searcher.nodes == seq.nodes
+        for depth in (3, 5):
+            monkeypatch.setattr(schur_search, "SPLIT_DEPTH", depth)
+            searcher = _new(3, 14, False)
+            assert schur_search._exists(searcher, 2) is None
+            assert searcher.nodes == seq.nodes
 
     def test_counts_continue_the_run(self, monkeypatch):
         # The prefixes are enumerated on the run's searcher, so every `at` is a count within the run.
         monkeypatch.setattr(schur_search, "SPLIT_DEPTH", 4)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         seq = _new(3, 14, False)
         assert seq.run() is None
         searcher = _new(3, 13, False)
         assert searcher.run() is not None
         before = searcher.nodes
         searcher.grow(14)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            assert schur_search._exists(searcher, pool) is None
+        assert schur_search._exists(searcher, 2) is None
         assert searcher.nodes == before + seq.nodes
 
     def test_witness_cube_total_is_deterministic(self, monkeypatch):
         monkeypatch.setattr(schur_search, "SPLIT_DEPTH", 4)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         seq = _new(3, 13, False)
         searchers = _new(3, 13, False), _new(3, 13, False)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            first, again = (schur_search._exists(searcher, pool) for searcher in searchers)
+        first, again = (schur_search._exists(searcher, 2) for searcher in searchers)
         assert first == again == seq.run()
         assert searchers[0].nodes == searchers[1].nodes == seq.nodes
 
@@ -230,7 +231,7 @@ class TestParallelNodes:
         assert (par.W, par.S, par.witness_coloring) == (seq.W, seq.S, seq.witness_coloring)
         assert par.stats.nodes == seq.stats.nodes
 
-    def test_schur_number_reuses_one_pool(self, monkeypatch):
+    def test_schur_number_opens_one_pool_per_split_n(self, monkeypatch):
         built = []
 
         class CountingPool(ProcessPoolExecutor):
@@ -243,7 +244,8 @@ class TestParallelNodes:
         monkeypatch.setattr(schur_search, "SPLIT_DEPTH", 4)
         seq = schur_number(3)
         par = schur_number(3, threads=2)
-        assert built == [{"max_workers": 2}]
+        # n = 13 (its witness past cube 0) and n = 14 (refuted) are split; each opens its own pool.
+        assert built == [{"max_workers": 2}, {"max_workers": 2}]
         assert (par.W, par.S, par.witness_coloring) == (seq.W, seq.S, seq.witness_coloring)
         # A witnessed n counts the prefix nodes up to its cube's leaf only.
         assert (seq.stats.nodes, par.stats.nodes) == (397, 397)
@@ -290,10 +292,10 @@ class TestParallelNodes:
         # Cubes past cube 0 reach the pool for l = 3 from n = 13 (a witness there, refutations from
         # 14) and for l = 4 at n = 44, whose witness lies in cube 6 after 1,074,932 nodes.  Cube 0
         # refutes the restricted l = 2 from n = 12 too, but has no cube after it.
-        with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
-            for n in ns:
-                searcher, seq = _new(l, n, restricted), _new(l, n, restricted)
-                assert (schur_search._exists(searcher, pool), searcher.nodes) == (seq.run(), seq.nodes), n
+        for n in ns:
+            searcher, seq = _new(l, n, restricted), _new(l, n, restricted)
+            assert (schur_search._exists(searcher, 2), searcher.nodes) == (seq.run(), seq.nodes), n
+            assert multiprocessing.active_children() == [], n  # a split n's pool is shut down on return
         want = list(range(13, 41)) if (l, restricted) == (3, False) else [44] if 44 in ns else []
         assert [n for cubes in mapped for n in cubes] == want
 
@@ -301,6 +303,18 @@ class TestParallelNodes:
         par = schur_number(4, max_n=44, threads=2)
         assert mapped == [{44}]
         assert (par.W, par.stats.nodes) == (44, 1_095_044)
+
+    def test_one_worker_never_gets_a_pool(self, monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a pool was built for one worker")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        seq, par = schur_number(3), schur_number(3, threads=2)
+        assert (par.W, par.S, par.witness_coloring) == (seq.W, seq.S, seq.witness_coloring)
+        assert (seq.stats.nodes, par.stats.nodes) == (397, 397)
+        assert scan_primes(3, 2, 2, 10**4, threads=2) == scan_primes(3, 2, 2, 10**4)
 
     def test_no_cubes_is_a_refutation(self):
         assert exists_valid_coloring(1, 9, threads=2) is None
